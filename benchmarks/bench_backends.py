@@ -1,19 +1,16 @@
-"""Time the numba and numpy backends on the two hot kernels.
+"""Time the numba and numpy backends on the homogeneity kernel.
 
 Usage: python3 benchmarks/bench_backends.py [--repeats N]
 
-Covers the catalog sweep (find_twists) and the one-point extension
-search (is_metrically_homogeneous).  The numba timings exclude JIT
-compilation: each kernel is run once per backend before the clock
-starts.
+Covers the one-point extension search (is_metrically_homogeneous).
+The numba timings exclude JIT compilation: each case is run once per
+backend before the clock starts.
 """
 
 import argparse
-import os
 import time
 
 from mhg_twist import (
-    find_twists,
     icosahedron,
     is_metrically_homogeneous,
     johnson_graph,
@@ -30,20 +27,6 @@ def time_call(fn, repeats):
     return best
 
 
-def sweep_case(delta):
-    def run():
-        find_twists(delta)
-    return f"find_twists(delta={delta})", run
-
-
-def homogeneity_case(name, build, backend, **kw):
-    g = build()
-
-    def run():
-        is_metrically_homogeneous(g, backend=backend, **kw)
-    return name, run
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3)
@@ -57,16 +40,6 @@ def main():
         print("numba not importable, timing numpy only")
 
     rows = []
-    for case in (3, 5, 7, 8):
-        name = f"find_twists(delta={case})"
-        cells = {}
-        for backend in backends:
-            os.environ["MHG_TWIST_BACKEND"] = backend
-            find_twists(case)  # warm
-            cells[backend] = time_call(lambda: find_twists(case), args.repeats)
-        rows.append((name, cells))
-    os.environ.pop("MHG_TWIST_BACKEND", None)
-
     graph_cases = [
         ("homogeneity icosahedron (full)", icosahedron, {}),
         ("homogeneity johnson(6,3) depth 3", lambda: johnson_graph(6, 3),

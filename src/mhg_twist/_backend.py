@@ -1,10 +1,7 @@
-"""Search kernels with a numba fast path and a pure-numpy fallback.
+"""The homogeneity search kernel, with a numba fast path and a pure-numpy fallback.
 
-Two kernels live here: the twistability verdict grid used by the
-classifier sweep over a full symmetric group, and the one-point
-extension search used to decide metric homogeneity of a finite graph.
-
-The active backend is chosen by the MHG_TWIST_BACKEND environment
+The kernel runs the one-point extension search that decides metric
+homogeneity of a finite graph.  The active backend is chosen by the MHG_TWIST_BACKEND environment
 variable ("numba" or "numpy").  Unset, it defaults to numba when that
 import works and numpy otherwise.  Both backends return identical
 pass/fail answers, and on a pass identical state counts.  On a fail
@@ -48,132 +45,6 @@ def resolve_backend(backend: str | None = None) -> str:
 def backend_name() -> str:
     """The backend that calls will use right now."""
     return resolve_backend(None)
-
-
-# ---------------------------------------------------------------------------
-# twistability verdict grid
-#
-# Inputs are the shared catalog tables for one alphabet size delta:
-#   perms        (P, delta) int64, rows are permutations of 1..delta
-#   triples      (N, 3) int64, sorted distance triples in rank order
-#   rank3d       (delta+1,)^3 int64, sorted triple -> rank
-#   members      (T, N) uint8, row t flags the triples realized by tuple t
-#   metric_mask  (N,) bool, rank satisfies the triangle inequality
-#   always_pos   (A,) int64, ranks of triples present in every candidate
-#                set (metric, even perimeter <= 2*delta)
-#   geo_ranks    (G,) int64, ranks of the geodesic triples (1, k, k+1)
-#
-# Output is (P, T) uint8 with 1 where the permutation maps tuple t's
-# realized set to a metric set containing every geodesic triple.
-#
-# The two per-permutation short circuits are exact, not heuristic: every
-# candidate set contains all of always_pos, so an always-triple mapped
-# onto a non-metric rank kills every tuple at once, and a geodesic
-# whose preimage rank is non-metric can be covered by no tuple.
-# ---------------------------------------------------------------------------
-
-
-def _verdict_grid_loops(perms, triples, rank3d, members, metric_mask, always_pos, geo_ranks):
-    P = perms.shape[0]
-    N = triples.shape[0]
-    T = members.shape[0]
-    A = always_pos.shape[0]
-    G = geo_ranks.shape[0]
-    out = np.zeros((P, T), dtype=np.uint8)
-    rp = np.empty(N, dtype=np.int64)
-    inv = np.empty(N, dtype=np.int64)
-    for p in range(P):
-        for i in range(N):
-            x = perms[p, triples[i, 0] - 1]
-            y = perms[p, triples[i, 1] - 1]
-            z = perms[p, triples[i, 2] - 1]
-            if x > y:
-                x, y = y, x
-            if y > z:
-                y, z = z, y
-            if x > y:
-                x, y = y, x
-            rp[i] = rank3d[x, y, z]
-        for i in range(N):
-            inv[rp[i]] = i
-        ok = True
-        for j in range(A):
-            if not metric_mask[rp[always_pos[j]]]:
-                ok = False
-                break
-        if ok:
-            for j in range(G):
-                if not metric_mask[inv[geo_ranks[j]]]:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        for t in range(T):
-            good = True
-            for i in range(N):
-                if members[t, i] and not metric_mask[rp[i]]:
-                    good = False
-                    break
-            if good:
-                for j in range(G):
-                    if not members[t, inv[geo_ranks[j]]]:
-                        good = False
-                        break
-            if good:
-                out[p, t] = 1
-    return out
-
-
-if _HAVE_NUMBA:
-    _verdict_grid_nb = njit(cache=True, nogil=True)(_verdict_grid_loops)
-
-
-def _verdict_grid_numpy(perms, triples, rank3d, members, metric_mask, always_pos, geo_ranks):
-    P = perms.shape[0]
-    T = members.shape[0]
-    out = np.zeros((P, T), dtype=np.uint8)
-    members_bool = members.astype(bool)
-    for start in range(0, P, 1024):
-        chunk = perms[start : start + 1024]
-        imgs = chunk[:, triples - 1]
-        imgs.sort(axis=2)
-        rp = rank3d[imgs[:, :, 0], imgs[:, :, 1], imgs[:, :, 2]]
-        inv = np.argsort(rp, axis=1)
-        keep = metric_mask[rp[:, always_pos]].all(axis=1)
-        keep &= metric_mask[inv[:, geo_ranks]].all(axis=1)
-        rows = np.flatnonzero(keep)
-        if rows.size == 0:
-            continue
-        bad = ~metric_mask[rp[rows]]
-        metric_ok = ~(members_bool[None, :, :] & bad[:, None, :]).any(axis=2)
-        geo_src = inv[rows][:, geo_ranks]
-        geo_ok = members_bool[:, geo_src].all(axis=2).T
-        out[start + rows] = (metric_ok & geo_ok).astype(np.uint8)
-    return out
-
-
-def twist_verdict_grid(
-    perms,
-    triples,
-    rank3d,
-    members,
-    metric_mask,
-    always_pos,
-    geo_ranks,
-    backend: str | None = None,
-):
-    """(P, T) grid of twistability bits for a block of permutations."""
-    name = resolve_backend(backend)
-    fn = _verdict_grid_nb if name == "numba" else _verdict_grid_numpy
-    return fn(
-        np.ascontiguousarray(perms, dtype=np.int64),
-        np.ascontiguousarray(triples, dtype=np.int64),
-        np.ascontiguousarray(rank3d, dtype=np.int64),
-        np.ascontiguousarray(members, dtype=np.uint8),
-        np.ascontiguousarray(metric_mask, dtype=np.bool_),
-        np.ascontiguousarray(always_pos, dtype=np.int64),
-        np.ascontiguousarray(geo_ranks, dtype=np.int64),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 A twist of a parameter tuple is a permutation of the distance alphabet
 that maps its realized triple set onto a metric set still holding every
-geodesic triple.  The search sweeps the full symmetric group for one
-diameter, grades every (permutation, tuple) pair with the backend
-kernel, and groups the hits into families keyed by permutation.
+geodesic triple.  The search walks the permutations of one diameter in
+lexicographic order, cutting a prefix as soon as it breaks a condition
+that every candidate tuple would need; the few survivors are graded
+against all candidates at once and the hits grouped into families keyed
+by permutation.
 
 The verifiers compare the search output against the four closed-form
 permutations and their expected parameter families, reporting per-row
@@ -13,16 +15,12 @@ results instead of raising, so callers can render or exit on them.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import twist_verdict_grid
 from .errors import BudgetError, InvalidInputError, InvalidStateError
 from .parameter_space import (
     ParameterTuple,
@@ -30,13 +28,11 @@ from .parameter_space import (
     realized_set,
     table1_rows,
 )
-from .permutations import Twist, identity, mu, rho, rho_inverse, tau
-from .triangle_catalog import _tables
+from .permutations import Twist, mu, rho, rho_inverse, tau
+from .triangle_catalog import _tables, rank_permutation
 from .twistability import OUTCOME_TWISTABLE, check_twistable
 
 MAX_SEARCH_DELTA = 8
-
-_JOBS_ENV = "MHG_TWIST_JOBS"
 
 #: display names for the four closed-form twists, in output order
 NAMED_TWISTS = ("rho", "rho-inv", "tau0", "tau1")
@@ -52,61 +48,78 @@ def named_twists(delta: int) -> list[tuple[str, Twist]]:
     ]
 
 
-def _resolve_jobs(jobs: int | None) -> int:
-    if jobs is None:
-        env = os.environ.get(_JOBS_ENV)
-        if env is not None:
-            try:
-                jobs = int(env)
-            except ValueError as exc:
-                raise InvalidInputError(f"{_JOBS_ENV} must be an integer: {env!r}") from exc
-        else:
-            jobs = os.cpu_count() or 1
-    if not isinstance(jobs, int) or jobs < 1:
-        raise InvalidInputError(f"jobs must be a positive integer, got {jobs!r}")
-    return jobs
+def _admissible_permutations(delta: int):
+    """Permutations of 1..delta that could twist some candidate, in lexicographic order.
 
-
-def _run_grid(perms: np.ndarray, delta: int, members: np.ndarray, jobs: int) -> np.ndarray:
+    Images are assigned to 1, 2, ... in turn and a prefix is cut as soon
+    as it breaks one of two conditions that hold for every candidate,
+    so both cuts are exact: each metric, even-perimeter triple of
+    perimeter at most 2*delta lies in every realized set and must map to
+    a metric triple (checked once its largest entry has an image), and
+    each geodesic (1, k, k+1) needs a metric preimage (checked once 1, k
+    and k+1 have all been used as images).
+    """
     tabs = _tables(delta)
-    args = (tabs.triples, tabs.rank3d, members, tabs.metric,
-            tabs.even_small_metric_ranks, tabs.geodesic_ranks)
-    if jobs == 1 or perms.shape[0] < 2 * jobs:
-        return twist_verdict_grid(perms, *args)
-    chunks = np.array_split(perms, jobs)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(lambda c: twist_verdict_grid(c, *args), chunks))
-    return np.vstack(parts)
+    always_by_top: list[list[tuple[int, int]]] = [[] for _ in range(delta + 1)]
+    for a, b, c in tabs.triples[tabs.even_small_metric_ranks].tolist():
+        always_by_top[c].append((a, b))
+    images = [0] * (delta + 1)
+    preimage = [0] * (delta + 1)
+
+    def metric(x: int, y: int, z: int) -> bool:
+        return 2 * max(x, y, z) <= x + y + z
+
+    def extend(i: int):
+        if i > delta:
+            yield tuple(images[1:])
+            return
+        for v in range(1, delta + 1):
+            if preimage[v]:
+                continue
+            images[i], preimage[v] = v, i
+            if all(metric(images[a], images[b], v) for a, b in always_by_top[i]) and all(
+                metric(preimage[1], preimage[k], preimage[k + 1])
+                for k in range(1, delta)
+                if v in (1, k, k + 1) and preimage[1] and preimage[k] and preimage[k + 1]
+            ):
+                yield from extend(i + 1)
+            preimage[v] = 0
+
+    yield from extend(1)
 
 
-def find_twists(delta: int, jobs: int | None = None) -> dict[Twist, list[ParameterTuple]]:
+def find_twists(delta: int) -> dict[Twist, list[ParameterTuple]]:
     """Families of parameter tuples twisted by each non-identity permutation.
 
-    Sweeps all delta! permutations against every self-consistent tuple
-    for the diameter.  Keys are the permutations with at least one hit,
-    in lexicographic image order; each family is sorted by tuple.  The
+    Grades every permutation that survives the prefix-pruned walk of
+    the symmetric group against every self-consistent tuple for the
+    diameter.  Keys are the permutations with at least one hit, in
+    lexicographic image order; each family is sorted by tuple.  The
     identity, which fixes every realized set, is left out.
     """
     if not isinstance(delta, int) or not 3 <= delta <= MAX_SEARCH_DELTA:
         raise BudgetError(
             f"twist search supports delta in 3..{MAX_SEARCH_DELTA}, got {delta!r}"
         )
-    jobs = _resolve_jobs(jobs)
+    tabs = _tables(delta)
     candidates = enumerate_candidates(delta)
-    members = np.stack([realized_set(p).to_bool_array() for p in candidates]).astype(np.uint8)
-    perms = np.array(
-        list(itertools.permutations(range(1, delta + 1))), dtype=np.int64
-    )
-    grid = _run_grid(perms, delta, members, jobs)
-    if not grid[0].all():
-        raise InvalidStateError("identity failed to fix some realized set")
+    members = np.stack([realized_set(p).to_bool_array() for p in candidates])
     families: dict[Twist, list[ParameterTuple]] = {}
-    for p in map(int, np.flatnonzero(grid.any(axis=1))):
-        if p == 0:
-            continue
-        hits = [candidates[t] for t in map(int, np.flatnonzero(grid[p]))]
-        hits.sort(key=ParameterTuple.sort_key)
-        families[Twist(tuple(int(x) for x in perms[p]))] = hits
+    for images in _admissible_permutations(delta):
+        twist = Twist(images)
+        ranks = rank_permutation(twist)
+        # a tuple passes when no member maps off the metric triples and
+        # every geodesic's preimage is a member
+        hits = ~(members & ~tabs.metric[ranks]).any(axis=1) & members[
+            :, np.argsort(ranks)[tabs.geodesic_ranks]
+        ].all(axis=1)
+        if twist.is_identity():
+            if not hits.all():
+                raise InvalidStateError("identity failed to fix some realized set")
+        elif hits.any():
+            families[twist] = sorted(
+                (candidates[t] for t in np.flatnonzero(hits)), key=ParameterTuple.sort_key
+            )
     return families
 
 
@@ -153,7 +166,6 @@ class TheoremReport:
 
 def verify_theorem_twists(
     delta: int,
-    jobs: int | None = None,
     families: dict[Twist, list[ParameterTuple]] | None = None,
 ) -> TheoremReport:
     """Check that the twist keys are exactly the four closed forms.
@@ -162,7 +174,7 @@ def verify_theorem_twists(
     coincidences are reported and the key expected only once.
     """
     if families is None:
-        families = find_twists(delta, jobs=jobs)
+        families = find_twists(delta)
     named = named_twists(delta)
     by_value: dict[Twist, list[str]] = {}
     for name, t in named:
@@ -247,12 +259,11 @@ _KIND_TO_NAME = {
 
 def verify_table1(
     delta: int,
-    jobs: int | None = None,
     families: dict[Twist, list[ParameterTuple]] | None = None,
 ) -> Table1Report:
     """Compare each closed-form twist's family with the expected rows."""
     if families is None:
-        families = find_twists(delta, jobs=jobs)
+        families = find_twists(delta)
     named = dict(named_twists(delta))
     rows = []
     expected_by_name: dict[str, set[ParameterTuple]] = {n: set() for n in NAMED_TWISTS}
@@ -284,17 +295,16 @@ def verify_table1(
 
 def classification_rows(
     delta: int,
-    jobs: int | None = None,
     families: dict[Twist, list[ParameterTuple]] | None = None,
 ) -> list[dict[str, str]]:
     """CSV-ready verdict rows for one diameter.
 
     One row per (closed-form twist, candidate tuple) pair, in display
-    order, then rows for any keys the sweep found beyond those.  When
+    order, then rows for any keys the search found beyond those.  When
     two formula names give one permutation only the first is emitted.
     """
     if families is None:
-        families = find_twists(delta, jobs=jobs)
+        families = find_twists(delta)
     rows = []
     seen: set[Twist] = set()
     for _, twist in named_twists(delta):

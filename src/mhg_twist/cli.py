@@ -20,6 +20,8 @@ import json
 import sys
 
 from .classifier import (
+    _KIND_TO_NAME,
+    NAMED_TWISTS,
     classification_rows,
     classify_cycle_twists,
     find_twists,
@@ -41,16 +43,9 @@ from .finite_graphs import (
     rook_graph,
 )
 from .parameter_space import INFINITY, ParameterTuple, table1_rows
-from .permutations import Twist, mu, parse_cycles, rho, rho_inverse, tau
+from .permutations import Twist, mu, parse_cycles
 
 _CSV_FIELDS = ("sigma", "delta", "K1", "K2", "C", "Cprime", "verdict", "witness")
-
-_KIND_DISPLAY = {
-    "rho": "rho",
-    "rho_inverse": "rho-inv",
-    "tau0": "tau0",
-    "tau1": "tau1",
-}
 
 
 def _parse_k1(text: str):
@@ -64,14 +59,8 @@ def _parse_k1(text: str):
 
 def _parse_sigma(spec: str, delta: int) -> Twist:
     """A permutation from a name, mu:n:k, transposition:a:b, or cycles."""
-    if spec == "rho":
-        return rho(delta)
-    if spec == "rho-inv":
-        return rho_inverse(delta)
-    if spec == "tau0":
-        return tau(delta, 0)
-    if spec == "tau1":
-        return tau(delta, 1)
+    if spec in NAMED_TWISTS:
+        return dict(named_twists(delta))[spec]
     if spec.startswith("mu:"):
         parts = spec.split(":")
         if len(parts) != 3:
@@ -159,7 +148,7 @@ def _cmd_classify(args) -> int:
     all_rows = []
     ok = True
     for delta in range(args.delta_min, args.delta_max + 1):
-        families = find_twists(delta, jobs=args.jobs)
+        families = find_twists(delta)
         theorem = verify_theorem_twists(delta, families=families)
         for line in theorem.lines():
             print(line)
@@ -215,7 +204,7 @@ def _cmd_finite(args) -> int:
 
 def _cmd_table1(args) -> int:
     for kind, params in table1_rows(args.delta):
-        print(f"{_KIND_DISPLAY[kind]}: {params}")
+        print(f"{_KIND_TO_NAME[kind]}: {params}")
     return 0
 
 
@@ -246,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write verdict rows to this CSV file")
     p.add_argument("--verify-table1", action="store_true",
                    help="also check families against the expected rows")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads (default: MHG_TWIST_JOBS or all cores)")
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("cycle", help="list the twists of an n-cycle metric")

@@ -24,23 +24,28 @@ from .errors import (
     InvalidInputError,
 )
 from .permutations import Twist
-from .triangle_catalog import TriangleSet
+from .triangle_catalog import TriangleSet, _tables
+
+#: ordered vertex triples marked per block by _triples_of_matrix
+_TRIPLE_CHUNK = 1 << 16
 
 
 def _bfs_all_pairs(adj: np.ndarray) -> np.ndarray:
+    """BFS from every source at once, one matrix product per level.
+
+    Row s of the frontier flags the vertices first reached from s at the
+    current level; float32 path counts stay exact far past any graph
+    size held here, so a positive count is exactly reachability.
+    """
     n = adj.shape[0]
+    step = adj.astype(np.float32)
     dist = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        d = dist[s]
-        d[s] = 0
-        frontier = np.zeros(n, dtype=bool)
-        frontier[s] = True
-        level = 0
-        while frontier.any():
-            level += 1
-            nxt = adj[frontier].any(axis=0) & (d < 0)
-            d[nxt] = level
-            frontier = nxt
+    frontier = np.eye(n, dtype=bool)
+    level = 0
+    while frontier.any():
+        dist[frontier] = level
+        level += 1
+        frontier = ((frontier.astype(np.float32) @ step) > 0) & (dist < 0)
     if (dist < 0).any():
         u = int(np.argwhere(dist < 0)[0][1])
         raise DisconnectedGraphError(f"vertex {u} is unreachable from vertex 0")
@@ -232,21 +237,24 @@ def graph_triangle_set(g: FiniteMetricGraph) -> TriangleSet:
 
 
 def _triples_of_matrix(m: np.ndarray, delta: int) -> TriangleSet:
+    """Sorted distance triples realized by three distinct vertices.
+
+    Every ordered vertex triple (u, v, w) marks the code of its distances
+    (m[u,v], m[u,w], m[v,w]); the six orders of one triple mark all six
+    orders of its distances, so reading the marks at the sorted triples
+    gives the set.  Codes holding a 0 come from repeated vertices and
+    are never read.
+    """
     n = m.shape[0]
     base = delta + 1
-    vv, ww = np.triu_indices(n, 1)
-    pair = m[vv, ww]
-    codes: set[int] = set()
-    for u in range(n - 2):
-        keep = vv > u
-        tr = np.stack([m[u, vv[keep]], m[u, ww[keep]], pair[keep]], axis=0)
-        tr.sort(axis=0)
-        codes.update(np.unique((tr[0] * base + tr[1]) * base + tr[2]).tolist())
-    triples = sorted(
-        (code // (base * base), code // base % base, code % base)
-        for code in codes
-    )
-    return TriangleSet.from_triples(delta, triples)
+    seen = np.zeros(base**3, dtype=bool)
+    rows = max(1, _TRIPLE_CHUNK // (n * n))
+    for u in range(0, n, rows):
+        block = m[u : u + rows]
+        seen[(block[:, :, None] * base + block[:, None, :]) * base + m[None, :, :]] = True
+    tabs = _tables(delta)
+    codes = (tabs.triples[:, 0] * base + tabs.triples[:, 1]) * base + tabs.triples[:, 2]
+    return TriangleSet.from_bool_array(delta, seen[codes])
 
 
 @dataclass(frozen=True)

@@ -108,11 +108,13 @@ def check_twistable(params: ParameterTuple, twist: Twist) -> TwistVerdict:
     ok, missing_k = contains_geodesics(image)
     if not ok:
         return TwistVerdict(OUTCOME_MISSING_GEODESIC, witness_distance=missing_k)
-    derived = derive_parameters(image)
-    # a twistable image is itself a catalog tuple; trust but verify in debug
-    assert derived.is_clean, (params, twist, derived)
-    image_params = derived.to_params()
-    assert is_self_consistent(image_params), (params, twist, image_params)
+    # a twistable image is itself a catalog tuple; an anomalous derivation
+    # makes to_params raise InvalidStateError
+    image_params = derive_parameters(image).to_params()
+    if not is_self_consistent(image_params):
+        raise InvalidStateError(
+            f"image of {params} under {twist.cycles()} is not self-consistent: {image_params}"
+        )
     return TwistVerdict(OUTCOME_TWISTABLE, image_params=image_params)
 
 

@@ -138,6 +138,36 @@ def gamma_diameter(triples, i):
     return best
 
 
+def twist_families(delta, candidates):
+    """Full-sweep twist families: every permutation of 1..delta against every tuple.
+
+    candidates is a list of (k1, k2, c0, c1) with k1 None for infinity.
+    Returns {images: [candidate indices]} for each non-identity
+    permutation twisting at least one candidate, keyed in lexicographic
+    image order, indices ascending.
+    """
+    sets = [realized(delta, *c) for c in candidates]
+    geodesics = [(1, k, k + 1) for k in range(1, delta)]
+    out = {}
+    for images in permutations(range(1, delta + 1)):
+        if images == tuple(range(1, delta + 1)):
+            continue
+        hits = []
+        for i, ts in enumerate(sets):
+            img = set()
+            for t in ts:
+                a, b, c = sorted(images[d - 1] for d in t)
+                if a + b < c:
+                    break
+                img.add((a, b, c))
+            else:
+                if all(g in img for g in geodesics):
+                    hits.append(i)
+        if hits:
+            out[images] = hits
+    return out
+
+
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -158,6 +188,17 @@ def bfs_distances(adj):
                     dist[s][v] = dist[s][u] + 1
                     queue.append(v)
     return dist
+
+
+def vertex_triples(dist):
+    """Sorted distance triples over all sets of three distinct vertices."""
+    n = len(dist)
+    out = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            for w in range(v + 1, n):
+                out.add(tuple(sorted((dist[u][v], dist[u][w], dist[v][w]))))
+    return out
 
 
 def homogeneous(dist, max_n=6):

@@ -1,7 +1,9 @@
 """Exhaustive sweep, theorem and table verification, cycle classification."""
 
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 import oracles
@@ -27,6 +29,8 @@ from mhg_twist import (
     verify_table1,
     verify_theorem_twists,
 )
+from mhg_twist.classifier import _admissible_permutations
+from mhg_twist.triangle_catalog import _tables
 
 # delta -> family sizes for (rho, rho-inv, tau0, tau1), from the first sweep
 FAMILY_SIZES = {
@@ -86,6 +90,33 @@ def test_sweep_finds_every_twistable_pair(sweeps):
 def test_tau0_at_delta_5_is_1_4(sweeps):
     assert tau(5, 0).cycles() == "(1 4)"
     assert tau(5, 0) in sweeps[5]
+
+
+@pytest.mark.parametrize("delta", range(3, 7))
+def test_find_twists_matches_the_full_sweep_oracle(delta):
+    # the oracle grades all delta! permutations with plain loops, so this
+    # checks that the prefix cuts drop no twist; key order included
+    cands = enumerate_candidates(delta)
+    plain = [(None if p.bipartite else p.k1, p.k2, p.c0, p.c1) for p in cands]
+    want = oracles.twist_families(delta, plain)
+    got = find_twists(delta)
+    assert list(want) == [t.images for t in got]
+    for t, fam in got.items():
+        assert fam == [cands[i] for i in want[t.images]]
+
+
+@pytest.mark.parametrize("delta", range(3, 9))
+def test_admissible_permutations_are_the_whole_set_survivors(delta):
+    # both prefix cuts, applied to whole permutations of the full group
+    tabs = _tables(delta)
+    perms = np.array(list(itertools.permutations(range(1, delta + 1))))
+    imgs = np.sort(perms[:, tabs.triples - 1], axis=2)
+    ranks = tabs.rank3d[imgs[..., 0], imgs[..., 1], imgs[..., 2]]
+    keep = tabs.metric[ranks[:, tabs.even_small_metric_ranks]].all(axis=1)
+    keep &= tabs.metric[np.argsort(ranks, axis=1)[:, tabs.geodesic_ranks]].all(axis=1)
+    want = [tuple(map(int, row)) for row in perms[keep]]
+    assert list(_admissible_permutations(delta)) == want
+    assert want[0] == tuple(range(1, delta + 1))
 
 
 def test_find_twists_budget():

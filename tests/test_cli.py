@@ -1,6 +1,7 @@
 """Command line behavior: output text, exit codes, CSV emission, determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,11 +11,13 @@ from pathlib import Path
 import pytest
 
 import mhg_twist
-from mhg_twist import ParameterTuple, check_twistable, parse_cycles
+from mhg_twist import ParameterTuple, check_twistable, parse_cycles, tau
 from mhg_twist.cli import main
 
 TWISTS_5 = "rho = (1 2 4 3 5)\nrho-inv = (1 5 3 4 2)\ntau0 = (1 4)\ntau1 = (1 5)\n"
 TWISTS_3 = "rho = (1 2 3)\nrho-inv = (1 3 2)\ntau0 = (1 2)\ntau1 = (1 3)\n"
+#: sha256 of the classify --delta-min 3 --delta-max 8 --verify-table1 CSV
+CLASSIFY_3_8_SHA256 = "16ab062c9b3c2996d680d383891ccf1fe2bc813a47f55e22ff0e887c0baaae50"
 
 
 def run(capsys, argv):
@@ -217,9 +220,9 @@ def test_classify_fail_exit_code(capsys, monkeypatch):
     import mhg_twist.cli as cli_mod
     real = cli_mod.find_twists
 
-    def drop_tau0(delta, jobs=None):
-        families = dict(real(delta, jobs=jobs))
-        families.pop(cli_mod.tau(delta, 0))
+    def drop_tau0(delta):
+        families = dict(real(delta))
+        families.pop(tau(delta, 0))
         return families
 
     monkeypatch.setattr(cli_mod, "find_twists", drop_tau0)
@@ -342,24 +345,22 @@ def test_table1_delta_6_has_bipartite_tau0(capsys):
 # determinism
 
 
-def test_classify_output_is_byte_stable_across_jobs(capsys, tmp_path, monkeypatch):
-    outputs = []
-    csvs = []
-    for jobs, env in (("1", None), ("4", None), ("4", "2")):
-        if env is None:
-            monkeypatch.delenv("MHG_TWIST_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("MHG_TWIST_JOBS", env)
-        path = tmp_path / f"rows-{jobs}-{env}.csv"
-        code, out, _ = run(capsys, [
-            "classify", "--delta-min", "3", "--delta-max", "5",
-            "--verify-table1", "--out", str(path), "--jobs", jobs,
-        ])
-        assert code == 0
-        outputs.append(out.replace(str(path), "OUT"))
-        csvs.append(path.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
-    assert csvs[0] == csvs[1] == csvs[2]
+def test_classify_csv_matches_the_golden_hash(capsys, tmp_path):
+    path = tmp_path / "rows.csv"
+    code, out, _ = run(capsys, [
+        "classify", "--delta-min", "3", "--delta-max", "8",
+        "--verify-table1", "--out", str(path),
+    ])
+    assert code == 0
+    assert f"wrote 4296 rows to {path}" in out.splitlines()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CLASSIFY_3_8_SHA256
+
+
+def test_classify_rejects_the_retired_jobs_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--delta-min", "3", "--delta-max", "3", "--jobs", "2"])
+    assert info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_backend_env_flag_gives_identical_bytes():

@@ -1,6 +1,5 @@
 """Concrete graphs: constructors, metrics, homogeneity, twists, covers, IO."""
 
-import itertools
 import json
 
 import networkx as nx
@@ -26,7 +25,6 @@ from mhg_twist import (
     crown_graph,
     cycle_graph,
     derive_parameters,
-    enumerate_candidates,
     find_antipodal_cover,
     from_adjacency_json,
     from_edge_list,
@@ -50,10 +48,7 @@ from mhg_twist._backend import (
     DEFAULT_STATE_BUDGET,
     _homogeneity_loops,
     _homogeneity_numpy,
-    _verdict_grid_loops,
-    _verdict_grid_numpy,
 )
-from mhg_twist.triangle_catalog import _tables
 
 PETERSEN_EDGES = "\n".join(
     "%d %d" % e
@@ -183,6 +178,11 @@ def test_adjacency_validation():
         FiniteMetricGraph(np.array([[0, 1], [0, 0]]))  # asymmetric
     with pytest.raises(DisconnectedGraphError):
         FiniteMetricGraph(np.zeros((2, 2), dtype=np.int64))
+    path_plus_point = np.zeros((4, 4), dtype=np.int64)
+    path_plus_point[0, 1] = path_plus_point[1, 0] = 1
+    path_plus_point[1, 3] = path_plus_point[3, 1] = 1
+    with pytest.raises(DisconnectedGraphError, match="^vertex 2 is unreachable from vertex 0$"):
+        FiniteMetricGraph(path_plus_point)
 
 
 def test_graph_is_immutable():
@@ -357,28 +357,14 @@ def test_backends_agree_on_pass_states():
 
 
 def test_loop_kernels_agree_with_numpy():
-    # The plain-Python loop kernels are what numba compiles, so running
-    # them uncompiled checks the backends' agreement without numba.
+    # The plain-Python loop kernel is what numba compiles, so running it
+    # uncompiled checks the backends' agreement without numba.
     for g in (cycle_graph(9), crown_graph(4)):
         d = np.ascontiguousarray(g.dist, dtype=np.int64)
         loops = _homogeneity_loops(d, g.n - 1, DEFAULT_STATE_BUDGET)
         vec = _homogeneity_numpy(d, g.n - 1, DEFAULT_STATE_BUDGET)
         assert loops[0] == 1
         assert (int(loops[0]), int(loops[1])) == (int(vec[0]), int(vec[1]))
-    for delta in range(3, 7):
-        tabs = _tables(delta)
-        members = np.stack([
-            realized_parameter_set(p).to_bool_array()
-            for p in enumerate_candidates(delta)
-        ]).astype(np.uint8)
-        perms = np.array(
-            list(itertools.permutations(range(1, delta + 1))), dtype=np.int64
-        )
-        args = (perms, tabs.triples, tabs.rank3d, members, tabs.metric,
-                tabs.even_small_metric_ranks, tabs.geodesic_ranks)
-        grid = _verdict_grid_loops(*args)
-        assert grid[1:].any()
-        assert np.array_equal(grid, _verdict_grid_numpy(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +550,20 @@ def test_icosahedron_triangle_set_is_the_tau0_row():
     v = check_twistable(p, tau(3, 0))
     assert v.twistable
     assert tau(3, 0) == Twist((2, 1, 3))
+
+
+def test_triangle_sets_agree_with_plain_loop_oracle():
+    cases = [(g, None) for g in (cycle_graph(7), crown_graph(5), rook_graph(3),
+                                 icosahedron(), johnson_graph(6, 3))]
+    cases += [(cycle_graph(13), mu(13, k)) for k in (2, 3, 5)]
+    cases += [(icosahedron(), Twist((1, 3, 2))), (crown_graph(4), Twist((2, 1, 3)))]
+    for g, twist in cases:
+        if twist is None:
+            m, ts = g.dist, graph_triangle_set(g)
+        else:
+            rep = apply_twist_metric(g, twist)
+            m, ts = rep.matrix, rep.realized
+        assert set(ts.members()) == oracles.vertex_triples(m.tolist())
 
 
 def test_homogeneous_graphs_derive_cleanly():

@@ -106,6 +106,25 @@ def test_check_twistable_requires_self_consistent_input():
         check_twistable(stray, rho(3))
 
 
+@pytest.mark.parametrize("bad_image", ["anomalous", "inconsistent"])
+def test_check_twistable_raises_on_a_broken_image_invariant(monkeypatch, bad_image):
+    # the invariant checks must survive python -O, so they raise, not assert
+    import mhg_twist.twistability as tw
+    from mhg_twist.parameter_space import ANOMALY_PERIMETER_GAP, DerivationResult
+
+    p = ParameterTuple.from_c_values(3, 1, 2, 10, 11)
+    assert check_twistable(p, tau(3, 1)).outcome == OUTCOME_TWISTABLE
+    if bad_image == "anomalous":
+        derived = DerivationResult(3, 1, 2, 10, 11, 3, (ANOMALY_PERIMETER_GAP,))
+    else:
+        stray = ParameterTuple.from_c_values(3, 3, 3, 10, 9)
+        assert not is_self_consistent(stray)
+        derived = DerivationResult(3, stray.k1, stray.k2, stray.c0, stray.c1, 3, ())
+    monkeypatch.setattr(tw, "derive_parameters", lambda _image: derived)
+    with pytest.raises(InvalidStateError):
+        check_twistable(p, tau(3, 1))
+
+
 def test_twist_image_parameters_matches_the_verdict():
     for delta in range(3, 9):
         for p in enumerate_candidates(delta)[::5]:
