@@ -1,211 +1,182 @@
-"""The homogeneity search kernel, with a numba fast path and a pure-numpy fallback.
+"""The homogeneity search: one numpy kernel, rooted at the map 0↦0.
 
-The kernel runs the one-point extension search that decides metric
-homogeneity of a finite graph.  The active backend is chosen by the MHG_TWIST_BACKEND environment
-variable ("numba" or "numpy").  Unset, it defaults to numba when that
-import works and numpy otherwise.  Both backends return identical
-pass/fail answers, and on a pass identical state counts.  On a fail
-the state count and the witness depend on search order: the loop
-kernel walks depth first, the numpy kernel level by level.
+A finite metric space is homogeneous exactly when every partial
+isometry extends by one point, for then any partial isometry grows
+point by point into a total one.  The kernel walks partial isometries
+level by level: a state is a pair of rows (doms, imgs) with doms
+strictly increasing, and children extend doms only past its maximum,
+so each domain-set/map pair has a unique generation path and no
+visited-set is needed.  The for-all check at a state still ranges over
+every vertex outside the domain.
+
+Normalization.  A partial isometry f extends by one point exactly when
+γ∘f∘β does, for automorphisms β and γ, and a homogeneous graph is
+vertex-transitive.  So the search first builds a transversal: for each
+v in 1..n-1 it extends {0↦v} greedily over the vertices 1, 2, ... in
+turn, taking the first image that fits.  Either every walk ends in an
+automorphism t_v with t_v(0) = v, or one gets stuck, and a stuck map is
+a partial isometry that misses a vertex: a witness in the graph's own
+labels.  Given the transversal, a partial isometry f whose least domain
+vertex a maps to b becomes t_b⁻¹∘f∘t_a, of the same size and holding
+0↦0.  Vertex 0 is the least, so the level walk from the single root
+{0↦0} meets that map exactly once, and the walk from that root alone
+decides the whole space.
+
+All roots.  With a depth bound d the transversal can get stuck on a map
+of more than d points, which says nothing about maps of at most d
+points.  Then the kernel runs from all n² one-point maps instead, the
+exhaustive walk, and the depth certificate keeps its meaning.  At full
+depth a stuck map has at most n-1 points and is always a witness, so
+the all-roots walk never runs there.
+
+Both steps count their states (maps built) against one state budget,
+and the kernel checks the budget while it builds a level, so a level
+past the budget is never held in memory.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import BudgetError, InvalidInputError
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-_ENV_VAR = "MHG_TWIST_BACKEND"
+from .errors import BudgetError
 
 #: states explored before the homogeneity search gives up
 DEFAULT_STATE_BUDGET = 30_000_000
 
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Normalize a backend request against what is importable."""
-    name = backend if backend is not None else os.environ.get(_ENV_VAR)
-    if name is None or name == "":
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if name not in ("numba", "numpy"):
-        raise InvalidInputError(f"unknown backend {name!r}, want numba or numpy")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise InvalidInputError("numba backend requested but numba is not importable")
-    return name
+#: states checked per numpy block in the level kernel
+_CHUNK = 8192
 
 
-def backend_name() -> str:
-    """The backend that calls will use right now."""
-    return resolve_backend(None)
+def _budget_error(max_states: int, n: int) -> BudgetError:
+    return BudgetError(
+        f"homogeneity search passed {max_states} states on {n} vertices; "
+        "raise max_states or lower max_depth"
+    )
 
 
-# ---------------------------------------------------------------------------
-# one-point extension search
-#
-# A finite metric space is homogeneous exactly when every partial
-# isometry extends by one point, for then any partial isometry grows
-# point by point into a total one.  The search walks every partial
-# isometry once: a state is a pair of tuples (doms, imgs) with doms
-# strictly increasing, and children extend doms only past its maximum,
-# so each domain-set/map pair has a unique generation path and no
-# visited-set is needed.  The for-all check at a state still ranges
-# over every vertex outside the domain.
-#
-# Return value is (ok, states, wit_len, wit_doms, wit_imgs, stuck):
-#   ok 1 = homogeneous up to max_depth, 0 = witness found, -2 = state
-#   budget exhausted.  On ok=0 the witness is a partial isometry of
-#   wit_len points plus the vertex with no matching image.
-# ---------------------------------------------------------------------------
+def _transversal(dist, states, max_states):
+    """Greedy automorphisms t_v with t_v(0) = v, all n-1 walks in lockstep.
 
-
-def _homogeneity_loops(dist, max_depth, max_states):
+    Walk r maps 0 to r+1; step a gives vertex a its first fitting image
+    in every walk, and each walk's step is one state.  Returns
+    (states, None) when every walk completes, else
+    (states, (doms, imgs, stuck)) for the first walk stuck at the first
+    step where any is.
+    """
     n = dist.shape[0]
-    cap = n * n * n + n * n + 16
-    stack_m = np.empty(cap, dtype=np.int64)
-    stack_a = np.empty(cap, dtype=np.int64)
-    stack_b = np.empty(cap, dtype=np.int64)
-    doms = np.zeros(n, dtype=np.int64)
-    imgs = np.zeros(n, dtype=np.int64)
-    top = 0
-    if max_depth >= 1:
-        for a in range(n - 1, -1, -1):
-            for b in range(n - 1, -1, -1):
-                stack_m[top] = 0
-                stack_a[top] = a
-                stack_b[top] = b
-                top += 1
-    states = 1
-    while top > 0:
-        top -= 1
-        m = stack_m[top]
-        doms[m] = stack_a[top]
-        imgs[m] = stack_b[top]
-        size = m + 1
-        states += 1
+    imgs = np.arange(1, n)[:, None]
+    for a in range(1, n):
+        states += n - 1
         if states > max_states:
-            return -2, states, 0, doms, imgs, -1
-        for a in range(n):
-            indom = False
-            for i in range(size):
-                if doms[i] == a:
-                    indom = True
-                    break
-            if indom:
-                continue
-            pushing = size < max_depth and a > doms[size - 1]
-            found = False
-            for b in range(n):
-                match = True
-                for i in range(size):
-                    if dist[a, doms[i]] != dist[b, imgs[i]]:
-                        match = False
-                        break
-                if match:
-                    found = True
-                    if pushing:
-                        stack_m[top] = size
-                        stack_a[top] = a
-                        stack_b[top] = b
-                        top += 1
-                    else:
-                        break
-            if not found:
-                return 0, states, size, doms, imgs, a
-    return 1, states, 0, doms, imgs, -1
+            raise _budget_error(max_states, n)
+        # fits[r, b]: b keeps the distances from a to 0..a-1 in walk r
+        fits = np.ones((n - 1, n), dtype=bool)
+        for i in range(a):
+            fits &= dist[imgs[:, i]] == dist[a, i]
+        found = fits.any(axis=1)
+        if not found.all():
+            r = int(np.argmin(found))
+            return states, (tuple(range(a)), tuple(int(x) for x in imgs[r]), a)
+        imgs = np.concatenate([imgs, fits.argmax(axis=1)[:, None]], axis=1)
+    return states, None
 
 
-if _HAVE_NUMBA:
-    _homogeneity_nb = njit(cache=True, nogil=True)(_homogeneity_loops)
+def _extension_levels(dist, doms, imgs, max_depth, states, max_states):
+    """Walk every partial isometry grown from the root rows (doms, imgs).
 
-
-def _homogeneity_numpy(dist, max_depth, max_states):
+    Returns (states, witness) with witness None when every map of at
+    most max_depth points extends by one point.  A level is held as the
+    list of blocks that made it, never concatenated.  Child rows are
+    counted before they are built; once the level in hand plus its
+    children pass max_states, no more children are kept, the level's
+    check runs to its end and BudgetError follows.
+    """
     n = dist.shape[0]
-    states = 1
-    if max_depth < 1:
-        return 1, states, 0, np.zeros(n, np.int64), np.zeros(n, np.int64), -1
-    doms = np.repeat(np.arange(n), n)[:, None]
-    imgs = np.tile(np.arange(n), n)[:, None]
     allv = np.arange(n)
-    m = 1
-    while doms.shape[0]:
-        states += doms.shape[0]
-        if states > max_states:
-            return -2, states, 0, np.zeros(n, np.int64), np.zeros(n, np.int64), -1
-        next_parts = []
-        for start in range(0, doms.shape[0], 8192):
-            dchunk = doms[start : start + 8192]
-            ichunk = imgs[start : start + 8192]
-            s = dchunk.shape[0]
-            d1 = dist[:, dchunk].transpose(1, 0, 2)
-            d2 = dist[:, ichunk].transpose(1, 0, 2)
-            match = np.ones((s, n, n), dtype=bool)
-            for i in range(m):
-                match &= d1[:, :, None, i] == d2[:, None, :, i]
-            indom = np.zeros((s, n), dtype=bool)
-            np.put_along_axis(indom, dchunk, True, axis=1)
-            missing = ~match.any(axis=2) & ~indom
-            if missing.any():
-                srow = int(np.flatnonzero(missing.any(axis=1))[0])
-                stuck = int(np.flatnonzero(missing[srow])[0])
-                wd = np.zeros(n, np.int64)
-                wi = np.zeros(n, np.int64)
-                wd[:m] = dchunk[srow]
-                wi[:m] = ichunk[srow]
-                return 0, states, m, wd, wi, stuck
-            if m < max_depth:
-                grow = match & (allv[None, :, None] > dchunk[:, -1:, None]) & ~indom[:, :, None]
-                sidx, aidx, bidx = np.nonzero(grow)
+    m = doms.shape[1]
+    states += doms.shape[0]
+    if states > max_states:
+        raise _budget_error(max_states, n)
+    level = [(doms, imgs)]
+    while True:
+        grow_more = m < max_depth
+        next_level = []
+        pending = 0
+        for part_doms, part_imgs in level:
+            for start in range(0, part_doms.shape[0], _CHUNK):
+                dchunk = part_doms[start : start + _CHUNK]
+                ichunk = part_imgs[start : start + _CHUNK]
+                s = dchunk.shape[0]
+                # match[r, a, b]: a -> b keeps every distance to row r's map
+                match = np.ones((s, n, n), dtype=bool)
+                for i in range(m):
+                    match &= dist[dchunk[:, i]][:, :, None] == dist[ichunk[:, i]][:, None, :]
+                indom = np.zeros((s, n), dtype=bool)
+                np.put_along_axis(indom, dchunk, True, axis=1)
+                missing = ~match.any(axis=2) & ~indom
+                if missing.any():
+                    srow = int(np.flatnonzero(missing.any(axis=1))[0])
+                    stuck = int(np.flatnonzero(missing[srow])[0])
+                    witness = (
+                        tuple(int(x) for x in dchunk[srow]),
+                        tuple(int(x) for x in ichunk[srow]),
+                        stuck,
+                    )
+                    return states, witness
+                if not grow_more:
+                    continue
+                match &= (allv[None, :] > dchunk[:, -1:])[:, :, None]
+                match &= ~indom[:, :, None]
+                pending += int(np.count_nonzero(match))
+                if states + pending > max_states:
+                    grow_more = False
+                    next_level = []
+                    continue
+                sidx, aidx, bidx = np.nonzero(match)
                 if sidx.size:
-                    next_parts.append(
+                    next_level.append(
                         (
                             np.concatenate([dchunk[sidx], aidx[:, None]], axis=1),
                             np.concatenate([ichunk[sidx], bidx[:, None]], axis=1),
                         )
                     )
-        if m >= max_depth or not next_parts:
-            break
-        doms = np.concatenate([p[0] for p in next_parts])
-        imgs = np.concatenate([p[1] for p in next_parts])
+        if states + pending > max_states:
+            raise _budget_error(max_states, n)
+        if not next_level:
+            return states, None
+        level = next_level
+        states += pending
         m += 1
-    return 1, states, 0, np.zeros(n, np.int64), np.zeros(n, np.int64), -1
 
 
 def homogeneity_search(
     dist,
     max_depth: int | None = None,
     max_states: int = DEFAULT_STATE_BUDGET,
-    backend: str | None = None,
 ):
     """Run the one-point extension search over a distance matrix.
 
-    Returns (ok, states, witness) where witness is None on success and
-    (doms, imgs, stuck_vertex) on failure.  Raises BudgetError when the
-    state budget runs out before an answer is reached.
+    Returns (ok, states, automorphisms, witness): witness is None on
+    success and (doms, imgs, stuck_vertex) on failure; automorphisms is
+    the number of transversal automorphisms built, n-1 when the
+    transversal completes and 0 when it got stuck or, at depth 0, did
+    not run.  Raises BudgetError
+    when the state budget runs out before an answer is reached.
     """
     d = np.ascontiguousarray(dist, dtype=np.int64)
     n = d.shape[0]
     depth = n - 1 if max_depth is None else min(max_depth, n - 1)
-    name = resolve_backend(backend)
-    fn = _homogeneity_nb if name == "numba" else _homogeneity_numpy
-    ok, states, wlen, wd, wi, stuck = fn(d, depth, max_states)
-    if ok == -2:
-        raise BudgetError(
-            f"homogeneity search passed {max_states} states on {n} vertices; "
-            "raise max_states or lower max_depth"
-        )
-    if ok == 1:
-        return True, int(states), None
-    witness = (
-        tuple(int(x) for x in wd[:wlen]),
-        tuple(int(x) for x in wi[:wlen]),
-        int(stuck),
-    )
-    return False, int(states), witness
+    states = 1
+    if depth < 1:
+        return True, states, 0, None
+    states, stuck_map = _transversal(d, states, max_states)
+    if stuck_map is None:
+        automorphisms = n - 1
+        roots = np.zeros((1, 1), np.int64), np.zeros((1, 1), np.int64)
+    elif len(stuck_map[0]) <= depth:
+        return False, states, 0, stuck_map
+    else:
+        automorphisms = 0
+        roots = np.repeat(np.arange(n), n)[:, None], np.tile(np.arange(n), n)[:, None]
+    states, witness = _extension_levels(d, *roots, depth, states, max_states)
+    return witness is None, states, automorphisms, witness

@@ -4,8 +4,9 @@ Everything here works on concrete vertex sets, complementing the
 catalog modules that work on distance alphabets alone.  A graph is
 held with its full all-pairs path metric; twists act on that metric
 pointwise and the reports say whether the image is again a graph-like
-metric.  The homogeneity check runs the backend one-point extension
-search over partial isometries.
+metric.  The homogeneity check runs the one-point extension search
+over partial isometries, rooted at 0↦0 once a transversal of
+automorphisms is found.
 """
 
 from __future__ import annotations
@@ -264,7 +265,10 @@ class HomogeneityResult:
     complete is False when the search was depth-bounded, in which case
     homogeneous=True only certifies extension up to that many points.
     witness on failure is (domain vertices, image vertices, vertex with
-    no valid image).
+    no valid image).  automorphisms counts the transversal
+    automorphisms found, one sending 0 to each other vertex: n-1 when
+    the transversal completes, which every complete pass needs, and 0
+    when it got stuck or did not run (depth 0).
     """
 
     homogeneous: bool
@@ -272,6 +276,7 @@ class HomogeneityResult:
     depth: int
     complete: bool
     witness: tuple[tuple[int, ...], tuple[int, ...], int] | None
+    automorphisms: int
 
     def __bool__(self) -> bool:
         return self.homogeneous
@@ -286,6 +291,7 @@ class HomogeneityResult:
             }
         return json.dumps(
             {
+                "automorphisms": self.automorphisms,
                 "homogeneous": self.homogeneous,
                 "states": self.states,
                 "depth": self.depth,
@@ -301,11 +307,12 @@ def is_metrically_homogeneous(
     cap: int = 24,
     max_depth: int | None = None,
     max_states: int = DEFAULT_STATE_BUDGET,
-    backend: str | None = None,
 ) -> HomogeneityResult:
     """Decide whether every partial isometry extends to a total one.
 
-    The search is exponential in the worst case, so graphs above the
+    Once it has automorphisms sending 0 to every vertex, the search
+    walks only the partial isometries that hold 0↦0 (see _backend).
+    It is exponential in the worst case, so graphs above the
     vertex cap are refused and a state budget bounds the walk; both
     raise BudgetError.  max_depth bounds the partial isometry size
     instead of proving full homogeneity (the result then says
@@ -318,8 +325,8 @@ def is_metrically_homogeneous(
     if g.n > cap:
         raise BudgetError(f"graph has {g.n} vertices, over the cap of {cap}")
     depth = g.n - 1 if max_depth is None else max(0, min(max_depth, g.n - 1))
-    ok, states, witness = homogeneity_search(
-        g.dist, max_depth=depth, max_states=max_states, backend=backend
+    ok, states, automorphisms, witness = homogeneity_search(
+        g.dist, max_depth=depth, max_states=max_states
     )
     return HomogeneityResult(
         homogeneous=ok,
@@ -327,6 +334,7 @@ def is_metrically_homogeneous(
         depth=depth,
         complete=depth >= g.n - 1,
         witness=witness,
+        automorphisms=automorphisms,
     )
 
 
@@ -510,7 +518,6 @@ def complement_twist(
     g: FiniteMetricGraph,
     cap: int = 24,
     max_states: int = DEFAULT_STATE_BUDGET,
-    backend: str | None = None,
 ) -> ComplementReport:
     """Grade the 1<->2 distance swap on a diameter-2 graph."""
     if not isinstance(g, FiniteMetricGraph):
@@ -528,7 +535,7 @@ def complement_twist(
         )
     h = FiniteMetricGraph(comp)
     matches = bool((h.dist == report.matrix).all())
-    hom = is_metrically_homogeneous(h, cap=cap, max_states=max_states, backend=backend)
+    hom = is_metrically_homogeneous(h, cap=cap, max_states=max_states)
     return ComplementReport(
         connected=True,
         valid_metric=report.valid,
@@ -669,7 +676,6 @@ def find_antipodal_cover(
     g: FiniteMetricGraph,
     homogeneity_depth: int | None = 3,
     max_states: int = DEFAULT_STATE_BUDGET,
-    backend: str | None = None,
 ) -> CoverSearchReport:
     """Search known constructions for an antipodal diameter-3 cover of g.
 
@@ -707,7 +713,6 @@ def find_antipodal_cover(
                     cap=cover.n,
                     max_depth=homogeneity_depth,
                     max_states=max_states,
-                    backend=backend,
                 )
                 homogeneous = hom.homogeneous
                 complete = hom.complete

@@ -201,17 +201,20 @@ def vertex_triples(dist):
     return out
 
 
-def homogeneous(dist, max_n=6):
+def homogeneous(dist, max_n=6, max_depth=None):
     """Brute-force one-point extension check over ALL injective partial maps.
 
-    Exponential and proud of it.  Returns (flag, witness) where witness is
-    (domain, image, stuck) for a failing extension, or None.
+    Exponential and proud of it.  max_depth bounds the size of the maps
+    checked (all of them, up to n-1 points, when None).  Returns
+    (flag, witness) where witness is (domain, image, stuck) for a
+    failing extension, or None.
     """
     n = len(dist)
     if n > max_n:
         raise ValueError("oracle capped at n=%d" % max_n)
     verts = range(n)
-    for m in range(1, n):
+    top = n - 1 if max_depth is None else min(max_depth, n - 1)
+    for m in range(1, top + 1):
         for dom in permutations(verts, m):
             for img in permutations(verts, m):
                 iso = True

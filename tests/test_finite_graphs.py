@@ -1,6 +1,8 @@
 """Concrete graphs: constructors, metrics, homogeneity, twists, covers, IO."""
 
 import json
+import time
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -44,11 +46,7 @@ from mhg_twist import (
     to_adjacency_json,
     to_edge_list,
 )
-from mhg_twist._backend import (
-    DEFAULT_STATE_BUDGET,
-    _homogeneity_loops,
-    _homogeneity_numpy,
-)
+from mhg_twist._backend import _CHUNK
 
 PETERSEN_EDGES = "\n".join(
     "%d %d" % e
@@ -275,15 +273,16 @@ SMALL_CASES = [
     ("K4-e", lambda: from_edge_list("0 1\n0 2\n0 3\n1 2\n1 3\n")),
     ("paw", lambda: from_edge_list("0 1\n0 2\n1 2\n2 3\n")),
     ("bull", lambda: from_edge_list("0 1\n0 2\n1 2\n1 3\n2 4\n")),
+    ("house", lambda: from_edge_list("0 1\n1 2\n2 3\n3 4\n4 0\n0 2\n")),
 ]
 
 
 @pytest.mark.parametrize("name,build", SMALL_CASES, ids=[c[0] for c in SMALL_CASES])
-def test_homogeneity_matches_brute_force(name, build, backend):
+def test_homogeneity_matches_brute_force(name, build):
     g = build()
     dist = [list(map(int, row)) for row in g.dist]
     want, _ = oracles.homogeneous(dist)
-    res = is_metrically_homogeneous(g, backend=backend)
+    res = is_metrically_homogeneous(g)
     assert res.homogeneous == want
     assert bool(res) == want
     assert res.complete
@@ -293,21 +292,125 @@ def test_homogeneity_matches_brute_force(name, build, backend):
         assert res.witness is None
 
 
-def test_homogeneous_catalog_members(backend):
+DEPTH_CASES = [
+    (name, build, depth)
+    for name, build in SMALL_CASES
+    for depth in range(1, build().n)
+]
+
+
+@pytest.mark.parametrize(
+    "name,build,depth", DEPTH_CASES, ids=[f"{c[0]}-d{c[2]}" for c in DEPTH_CASES]
+)
+def test_depth_bounded_search_matches_brute_force(name, build, depth):
+    g = build()
+    dist = [list(map(int, row)) for row in g.dist]
+    want, _ = oracles.homogeneous(dist, max_depth=depth)
+    res = is_metrically_homogeneous(g, max_depth=depth)
+    assert res.homogeneous == want
+    assert (res.depth, res.complete) == (depth, depth == g.n - 1)
+    if want:
+        assert res.witness is None
+    else:
+        assert len(res.witness[0]) <= depth
+        validate_homogeneity_witness(g, res.witness)
+
+
+def test_depth_bounded_pass_without_a_transversal():
+    # The house is not vertex-transitive: the greedy walk from 0->3 sticks
+    # on a 2-point map, which says nothing about 1-point maps, so depth 1
+    # is decided by the walk from all n*n roots.
+    house = dict(SMALL_CASES)["house"]()
+    res = is_metrically_homogeneous(house, max_depth=1)
+    assert res.homogeneous and res.automorphisms == 0
+    assert res.states == 1 + 4 * 2 + 5 * 5
+
+
+def test_homogeneity_result_reports_automorphisms():
+    res = is_metrically_homogeneous(johnson_graph(6, 3), max_depth=3)
+    assert res.homogeneous and res.automorphisms == 19
+    assert json.loads(res.to_json())["automorphisms"] == 19
+    assert is_metrically_homogeneous(icosahedron()).automorphisms == 11
+    assert is_metrically_homogeneous(cycle_graph(9)).automorphisms == 8
+    # J(5,2) is vertex-transitive, but the greedy walk sticks on it
+    stuck = is_metrically_homogeneous(johnson_graph(5, 2))
+    assert not stuck.homogeneous and stuck.automorphisms == 0
+
+
+def relabel(g, seed):
+    perm = np.random.default_rng(seed).permutation(g.n)
+    return FiniteMetricGraph(g.adjacency[np.ix_(perm, perm)])
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize(
+    "build",
+    [icosahedron, lambda: crown_graph(5), lambda: complete_multipartite([3, 3, 3]),
+     lambda: rook_graph(3), lambda: cycle_graph(9)],
+    ids=["ico", "crown5", "K333", "rook3", "C9"],
+)
+def test_relabelled_homogeneous_graph_keeps_verdict_and_states(build, seed):
+    # states holding 0->0 are as many as those holding v->v for any v
+    g = build()
+    base = is_metrically_homogeneous(g)
+    res = is_metrically_homogeneous(relabel(g, seed))
+    assert base.homogeneous and res.homogeneous
+    assert res.states == base.states
+    assert res.automorphisms == g.n - 1
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize(
+    "build",
+    [petersen, lambda: rook_graph(4), lambda: johnson_graph(5, 2)],
+    ids=["petersen", "rook4", "J52"],
+)
+def test_relabelled_non_homogeneous_graph_keeps_a_witness(build, seed):
+    g = relabel(build(), seed)
+    res = is_metrically_homogeneous(g)
+    assert not res.homogeneous
+    validate_homogeneity_witness(g, res.witness)
+
+
+def test_homogeneity_budget_bounds_memory():
+    # J(6,3) at full depth is far over this budget.  Maps of up to 4
+    # points fit in it and 5-point maps do not, so no row held has more
+    # than 5 points; the level that would cross the budget is never
+    # built, and the peak stays within the budget's rows (two int64
+    # arrays) plus one block's scratch.
+    g = johnson_graph(6, 3)
+    max_states = 100_000
+    assert is_metrically_homogeneous(g, max_depth=4).states < max_states
+    bound = max_states * 5 * 16 + 4 * _CHUNK * g.n * g.n
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(BudgetError):
+            is_metrically_homogeneous(g, max_states=max_states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 5.0
+    assert peak < bound
+
+
+def test_homogeneous_catalog_members():
     for g in (cycle_graph(9), crown_graph(4), crown_graph(5),
               complete_multipartite([2, 2, 2]), rook_graph(3)):
-        assert is_metrically_homogeneous(g, backend=backend).homogeneous
+        assert is_metrically_homogeneous(g).homogeneous
 
 
-def test_icosahedron_is_homogeneous(backend):
-    res = is_metrically_homogeneous(icosahedron(), backend=backend)
+def test_icosahedron_is_homogeneous():
+    res = is_metrically_homogeneous(icosahedron())
     assert res.homogeneous
     assert res.complete
-    assert res.states == 481237  # pinned: both backends walk the same states
+    # pinned search statistic: 1 + 11 * 11 transversal steps + 20,302
+    # partial isometries holding 0->0
+    assert res.states == 20424
 
 
-def test_petersen_is_not_homogeneous(backend):
-    res = is_metrically_homogeneous(petersen(), backend=backend)
+def test_petersen_is_not_homogeneous():
+    res = is_metrically_homogeneous(petersen())
     assert not res.homogeneous
     validate_homogeneity_witness(petersen(), res.witness)
 
@@ -341,30 +444,6 @@ def test_homogeneity_budget_and_cap():
         is_metrically_homogeneous(icosahedron(), max_states=1000)
     with pytest.raises(BudgetError):
         is_metrically_homogeneous(johnson_graph(7, 2), cap=20)  # 21 > cap
-
-
-def test_backends_agree_on_pass_states():
-    pytest.importorskip("numba")
-    g = crown_graph(5)
-    runs = {
-        b: is_metrically_homogeneous(g, backend=b)
-        for b in ("numpy", "numba")
-    }
-    flags = {b: r.homogeneous for b, r in runs.items()}
-    assert flags == {"numpy": True, "numba": True}
-    states = {r.states for r in runs.values()}
-    assert len(states) == 1
-
-
-def test_loop_kernels_agree_with_numpy():
-    # The plain-Python loop kernel is what numba compiles, so running it
-    # uncompiled checks the backends' agreement without numba.
-    for g in (cycle_graph(9), crown_graph(4)):
-        d = np.ascontiguousarray(g.dist, dtype=np.int64)
-        loops = _homogeneity_loops(d, g.n - 1, DEFAULT_STATE_BUDGET)
-        vec = _homogeneity_numpy(d, g.n - 1, DEFAULT_STATE_BUDGET)
-        assert loops[0] == 1
-        assert (int(loops[0]), int(loops[1])) == (int(vec[0]), int(vec[1]))
 
 
 # ---------------------------------------------------------------------------
