@@ -25,7 +25,13 @@ from .errors import (
     InvalidInputError,
 )
 from .permutations import Twist
-from .triangle_catalog import TriangleSet, _tables
+from .triangle_catalog import (
+    TriangleSet,
+    _members_image,
+    _tables,
+    contains_geodesics,
+    is_metric,
+)
 
 #: ordered vertex triples marked per block by _triples_of_matrix
 _TRIPLE_CHUNK = 1 << 16
@@ -58,10 +64,11 @@ class FiniteMetricGraph:
 
     Built from a square boolean adjacency matrix: symmetric, zero
     diagonal.  Exposes n, adjacency, dist, diameter; the arrays are
-    frozen after construction.
+    frozen after construction.  _triples holds the triple set once
+    graph_triangle_set has computed it.
     """
 
-    __slots__ = ("n", "adjacency", "dist", "diameter")
+    __slots__ = ("n", "adjacency", "dist", "diameter", "_triples")
 
     def __init__(self, adjacency):
         adj = np.array(adjacency, dtype=bool)
@@ -81,6 +88,7 @@ class FiniteMetricGraph:
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "diameter", int(dist.max()))
+        object.__setattr__(self, "_triples", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteMetricGraph is immutable")
@@ -231,10 +239,16 @@ def path_metric(g: FiniteMetricGraph) -> np.ndarray:
 
 
 def graph_triangle_set(g: FiniteMetricGraph) -> TriangleSet:
-    """Sorted distance triples realized by vertex triples of the graph."""
+    """Sorted distance triples realized by vertex triples of the graph.
+
+    The set is computed on the first call and cached on the graph, so
+    later calls return the same object; the graph stays immutable.
+    """
     if g.diameter < 1:
         raise InvalidInputError("triple set needs a graph with at least one edge")
-    return _triples_of_matrix(g.dist, g.diameter)
+    if g._triples is None:
+        object.__setattr__(g, "_triples", _triples_of_matrix(g.dist, g.diameter))
+    return g._triples
 
 
 def _triples_of_matrix(m: np.ndarray, delta: int) -> TriangleSet:
@@ -374,7 +388,16 @@ class TwistedMetricReport:
 
 
 def apply_twist_metric(g: FiniteMetricGraph, twist: Twist) -> TwistedMetricReport:
-    """Relabel the path metric through a twist and grade the result."""
+    """Relabel the path metric through a twist and grade the result.
+
+    Distinct vertices are never at distance 0, so the twisted metric's
+    triple set is the twist's image of the graph's own set: each member
+    (a, b, c) becomes sorted (σa, σb, σc).  The metric and geodesic flags
+    are read off that image, in O(|set|) once the graph's set is cached.
+    Only when some image triple breaks the triangle inequality are the
+    matrix rows scanned, in order, for the first violating pair (i, j)
+    and its least midpoint k, at n² per row.
+    """
     if not isinstance(g, FiniteMetricGraph):
         raise InvalidInputError(f"expected a FiniteMetricGraph, got {type(g).__name__}")
     if not isinstance(twist, Twist):
@@ -387,14 +410,17 @@ def apply_twist_metric(g: FiniteMetricGraph, twist: Twist) -> TwistedMetricRepor
     m = lookup[g.dist]
     m.setflags(write=False)
 
-    sums = m[:, :, None] + m[None, :, :]
-    slack = sums.min(axis=1) - m
-    metric_ok = bool((slack >= 0).all())
+    realized = _members_image(graph_triangle_set(g), twist)
+    metric_ok = is_metric(realized)[0]
     triangle_witness = None
     if not metric_ok:
-        i, j = map(int, np.argwhere(slack < 0)[0])
-        k = int(np.argmin(sums[i, :, j]))
-        triangle_witness = (i, k, j)
+        for i in range(g.n):
+            sums = m[i][:, None] + m
+            bad = np.flatnonzero(sums.min(axis=0) < m[i])
+            if bad.size:
+                j = int(bad[0])
+                triangle_witness = (i, int(np.argmin(sums[:, j])), j)
+                break
 
     unit = m == 1
     reach = np.zeros(g.n, dtype=bool)
@@ -405,14 +431,7 @@ def apply_twist_metric(g: FiniteMetricGraph, twist: Twist) -> TwistedMetricRepor
         reach |= frontier
     unit_connected = bool(reach.all())
 
-    realized = _triples_of_matrix(m, twist.delta)
-    geodesics_ok = True
-    missing = None
-    for k in range(1, twist.delta):
-        if (1, k, k + 1) not in realized:
-            geodesics_ok = False
-            missing = k
-            break
+    geodesics_ok, missing = contains_geodesics(realized)
 
     return TwistedMetricReport(
         matrix=m,

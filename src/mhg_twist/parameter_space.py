@@ -18,10 +18,13 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import BudgetError, InvalidInputError, InvalidStateError
 from .permutations import rho, rho_inverse, tau
 from .triangle_catalog import (
     TriangleSet,
+    _tables,
     contains_geodesics,
     fiber_distances,
     image_set,
@@ -240,13 +243,15 @@ def derive_parameters(tset: TriangleSet) -> DerivationResult:
     if not ok:
         raise InvalidInputError(f"set contains a non-metric triple {bad}")
     d = tset.delta
-    members = tset.members()
+    flags = tset.to_bool_array()
+    tabs = _tables(d)
 
-    k_values = [k for k in range(1, d + 1) if (1, k, k) in tset]
+    ks = np.arange(1, d + 1)
+    k_values = ks[flags[tabs.rank3d[1, ks, ks]]].tolist()
     k1 = k_values[0] if k_values else INFINITY
     k2 = k_values[-1] if k_values else 0
 
-    perims = {sum(t) for t in members}
+    perims = set(tabs.perimeter[flags].tolist())
     c0 = next(p for p in range(2 * d + 2, 3 * d + 5, 2) if p not in perims)
     c1 = next(p for p in range(2 * d + 1, 3 * d + 5, 2) if p not in perims)
 

@@ -119,15 +119,7 @@ class TriangleSet:
 
     def members(self) -> list[tuple[int, int, int]]:
         trips = all_triples(self.delta)
-        bits = self._bits
-        out = []
-        r = 0
-        while bits:
-            if bits & 1:
-                out.append(trips[r])
-            bits >>= 1
-            r += 1
-        return out
+        return [trips[r] for r in np.flatnonzero(self.to_bool_array())]
 
     def __len__(self) -> int:
         return self._bits.bit_count()
@@ -192,13 +184,16 @@ def _realized_cached(delta, k1, k2, c0, c1) -> TriangleSet:
     return TriangleSet.from_bool_array(delta, tabs.metric & (even_ok | odd_ok))
 
 
+def _image_ranks(delta: int, images: tuple, triples: np.ndarray) -> np.ndarray:
+    """Rank of each sorted triple's image, re-sorted, under the relabelling."""
+    mapped = np.asarray(images, dtype=np.int64)[triples - 1]
+    mapped.sort(axis=1)
+    return _tables(delta).rank3d[mapped[:, 0], mapped[:, 1], mapped[:, 2]]
+
+
 @lru_cache(maxsize=65536)
 def _rank_permutation_cached(delta: int, images: tuple) -> np.ndarray:
-    tabs = _tables(delta)
-    imgs = np.asarray(images, dtype=np.int64)
-    mapped = imgs[tabs.triples - 1]
-    mapped.sort(axis=1)
-    ranks = tabs.rank3d[mapped[:, 0], mapped[:, 1], mapped[:, 2]]
+    ranks = _image_ranks(delta, images, _tables(delta).triples)
     ranks.setflags(write=False)
     return ranks
 
@@ -218,6 +213,19 @@ def image_set(tset: TriangleSet, twist: Twist) -> TriangleSet:
     out = np.zeros_like(src)
     out[rank_permutation(twist)] = src
     return TriangleSet.from_bool_array(tset.delta, out)
+
+
+def _members_image(tset: TriangleSet, twist: Twist) -> TriangleSet:
+    """image_set computed from the members alone, caching nothing.
+
+    For one-off twists, such as the relabelling of one graph's metric:
+    image_set keeps a rank table over the whole alphabet per twist.
+    """
+    tabs = _tables(tset.delta)
+    members = tabs.triples[tset.to_bool_array()]
+    flags = np.zeros(tabs.n, dtype=bool)
+    flags[_image_ranks(tset.delta, twist.images, members)] = True
+    return TriangleSet.from_bool_array(tset.delta, flags)
 
 
 def is_metric(tset: TriangleSet) -> tuple[bool, tuple | None]:
@@ -245,19 +253,20 @@ def gamma_diameter(tset: TriangleSet, i: int) -> int:
     For i = delta this is the diameter of the subgraph induced on a fiber
     of vertices at distance delta from a base point.
     """
-    if not 1 <= i <= tset.delta:
-        raise OutOfAlphabetError(f"i={i!r} not in 1..{tset.delta}")
-    for k in range(tset.delta, 0, -1):
-        if tuple(sorted((i, i, k))) in tset:
-            return k
-    return 0
+    fiber = fiber_distances(tset, i)
+    return fiber[-1] if fiber else 0
 
 
 def fiber_distances(tset: TriangleSet, i: int) -> list[int]:
     """All k with (i, i, k) in the set, ascending."""
     if not 1 <= i <= tset.delta:
         raise OutOfAlphabetError(f"i={i!r} not in 1..{tset.delta}")
-    return [k for k in range(1, tset.delta + 1) if tuple(sorted((i, i, k))) in tset]
+    if not isinstance(i, (int, np.integer)):
+        raise InvalidInputError(f"i must be an integer, got {i!r}")
+    ks = np.arange(1, tset.delta + 1)
+    # sorted (i, i, k) is (min(i, k), i, max(i, k))
+    ranks = _tables(tset.delta).rank3d[np.minimum(ks, i), i, np.maximum(ks, i)]
+    return ks[tset.to_bool_array()[ranks]].tolist()
 
 
 def _rank_of(delta, ranks, triple) -> int:

@@ -201,6 +201,65 @@ def vertex_triples(dist):
     return out
 
 
+def twisted_report(dist, images):
+    """Every field of a twisted-metric grade, from plain loops.
+
+    dist is the path metric as a list of lists, images the permutation
+    of 1..delta.  The triangle witness is the first (i, j) in row-major
+    order with a shorter detour through some k, and k is the least
+    midpoint of the shortest detour; the missing geodesic is the least
+    k with (1, k, k+1) unrealized.
+    """
+    n = len(dist)
+    delta = len(images)
+    m = [[0 if dist[u][v] == 0 else images[dist[u][v] - 1] for v in range(n)]
+         for u in range(n)]
+
+    witness = None
+    for i in range(n):
+        for j in range(n):
+            best = None
+            for k in range(n):
+                if best is None or m[i][k] + m[k][j] < m[i][best] + m[best][j]:
+                    best = k
+            if m[i][best] + m[best][j] < m[i][j]:
+                witness = (i, best, j)
+                break
+        if witness is not None:
+            break
+
+    seen = [False] * n
+    seen[0] = True
+    queue = [0]
+    while queue:
+        u = queue.pop()
+        for v in range(n):
+            if m[u][v] == 1 and not seen[v]:
+                seen[v] = True
+                queue.append(v)
+    unit_connected = all(seen)
+
+    realized = vertex_triples(m)
+    missing = None
+    for k in range(1, delta):
+        if (1, k, k + 1) not in realized:
+            missing = k
+            break
+
+    metric_ok = witness is None
+    geodesics_ok = missing is None
+    return {
+        "matrix": m,
+        "valid": metric_ok and unit_connected and geodesics_ok,
+        "metric_ok": metric_ok,
+        "triangle_witness": witness,
+        "unit_connected": unit_connected,
+        "geodesics_ok": geodesics_ok,
+        "missing_geodesic": missing,
+        "realized": realized,
+    }
+
+
 def homogeneous(dist, max_n=6, max_depth=None):
     """Brute-force one-point extension check over ALL injective partial maps.
 

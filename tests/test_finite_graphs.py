@@ -1,5 +1,6 @@
 """Concrete graphs: constructors, metrics, homogeneity, twists, covers, IO."""
 
+import itertools
 import json
 import time
 import tracemalloc
@@ -33,6 +34,7 @@ from mhg_twist import (
     graph_triangle_set,
     icosahedron,
     identity,
+    image_set,
     is_isomorphic,
     is_metrically_homogeneous,
     is_self_consistent,
@@ -46,6 +48,7 @@ from mhg_twist import (
     to_adjacency_json,
     to_edge_list,
 )
+from mhg_twist import finite_graphs
 from mhg_twist._backend import _CHUNK
 
 PETERSEN_EDGES = "\n".join(
@@ -535,6 +538,112 @@ def test_twisted_report_json():
     blob = json.loads(apply_twist_metric(cycle_graph(7), mu(7, 2)).to_json())
     assert blob["valid"] is True
     assert len(blob["matrix"]) == 7
+
+
+def random_connected_graph(seed):
+    """A random spanning tree plus random extra edges, 4..14 vertices."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 15))
+    adj = np.triu(rng.random((n, n)) < rng.choice([0.1, 0.25, 0.5]), 1)
+    order = rng.permutation(n)
+    for i in range(1, n):
+        u, v = sorted((order[i], order[rng.integers(i)]))
+        adj[u, v] = True
+    return FiniteMetricGraph(adj | adj.T)
+
+
+def random_twists(delta, seed, count):
+    rng = np.random.default_rng(seed)
+    return [Twist(tuple(int(x) + 1 for x in rng.permutation(delta)))
+            for _ in range(count)]
+
+
+def assert_report_matches_oracle(g, twist):
+    rep = apply_twist_metric(g, twist)
+    want = oracles.twisted_report(g.dist.tolist(), twist.images)
+    assert rep.matrix.tolist() == want["matrix"]
+    for field in ("valid", "metric_ok", "triangle_witness", "unit_connected",
+                  "geodesics_ok", "missing_geodesic"):
+        assert getattr(rep, field) == want[field], (field, twist.images)
+    assert set(rep.realized.members()) == want["realized"]
+    assert rep.realized == image_set(graph_triangle_set(g), twist)
+    return rep
+
+
+@pytest.mark.parametrize("n", range(3, 31))
+def test_cycle_reports_match_plain_loop_oracle(n):
+    g = cycle_graph(n)
+    units = {mu(n, k) for k in range(1, n) if np.gcd(k, n) == 1}
+    for t in sorted(units, key=lambda t: t.images) + random_twists(n // 2, n, 3):
+        assert_report_matches_oracle(g, t)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [icosahedron, petersen, law_breaker, lambda: crown_graph(4),
+     lambda: crown_graph(5), lambda: rook_graph(3), lambda: rook_graph(4),
+     lambda: johnson_graph(5, 2), lambda: johnson_graph(6, 3),
+     lambda: complete_multipartite([2, 2, 2]), lambda: complete_multipartite([3, 3])],
+    ids=["ico", "petersen", "law-breaker", "crown4", "crown5", "rook3", "rook4",
+         "J52", "J63", "K222", "K33"],
+)
+def test_named_graph_reports_match_plain_loop_oracle(build):
+    g = build()
+    for images in itertools.permutations(range(1, g.diameter + 1)):
+        assert_report_matches_oracle(g, Twist(images))
+
+
+def test_random_graph_reports_match_plain_loop_oracle():
+    verdicts = set()
+    for seed in range(40):
+        g = random_connected_graph(seed)
+        for t in random_twists(g.diameter, seed, 3):
+            rep = assert_report_matches_oracle(g, t)
+            verdicts.add((rep.metric_ok, rep.unit_connected, rep.geodesics_ok))
+    # the draws reach each flag both ways
+    for i in range(3):
+        assert {flags[i] for flags in verdicts} == {True, False}
+
+
+def test_graph_triangle_set_is_cached_on_the_graph(monkeypatch):
+    calls = []
+    sweep = finite_graphs._triples_of_matrix
+    monkeypatch.setattr(
+        finite_graphs, "_triples_of_matrix",
+        lambda m, delta: calls.append(delta) or sweep(m, delta),
+    )
+    g = petersen()
+    assert calls == []  # building the graph does no triple work
+    ts = graph_triangle_set(g)
+    assert graph_triangle_set(g) is ts
+    apply_twist_metric(g, Twist((2, 1)))
+    assert calls == [2]
+    with pytest.raises(AttributeError):
+        g.x = 1
+    with pytest.raises(AttributeError):
+        g._triples = None
+    h = relabel(g, 3)
+    own = graph_triangle_set(h)
+    assert own is not ts
+    assert calls == [2, 2]
+    assert set(own.members()) == oracles.vertex_triples(h.dist.tolist())
+
+
+def test_twist_grade_memory_is_quadratic():
+    # after one warm-up call (graph triple set and alphabet tables cached)
+    # a grade holds a few n x n arrays; the n**3 int64 sums array of a
+    # full three-index sweep is 1 MB alone at n = 50
+    g = cycle_graph(50)
+    bound = 16 * g.n * g.n * 8
+    for t in (mu(50, 7), *random_twists(25, 5, 2)):
+        apply_twist_metric(g, t)
+        tracemalloc.start()
+        try:
+            apply_twist_metric(g, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (t.images, peak)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Parameter tuples, derivation, self-consistency, the frozen catalog counts."""
 
 import json
+import random
 
 import pytest
 
@@ -173,6 +174,20 @@ def test_derive_matches_oracle(delta):
         assert res.c1 == c1
         assert res.matches(p)
         assert res.is_clean
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_derive_matches_oracle_on_random_metric_sets(seed):
+    rng = random.Random(seed)
+    delta = rng.randint(1, 10)
+    subset = [t for t in all_triples(delta)
+              if t[0] + t[1] >= t[2] and rng.random() < 0.5]
+    res = derive_parameters(TriangleSet.from_triples(delta, subset))
+    k1, k2, c0, c1 = oracles.derive(subset, delta)
+    assert (res.k1, res.k2, res.c0, res.c1) == (
+        INFINITY if k1 is None else k1, k2, c0, c1
+    )
+    assert all(type(x) is int for x in (res.k2, res.c0, res.c1))
 
 
 def test_derive_anomalies_on_handmade_sets():

@@ -1,5 +1,7 @@
 """Triangle sets: enumeration, membership, images, metric and geodesic scans."""
 
+import random
+
 import pytest
 
 import oracles
@@ -140,3 +142,31 @@ def test_fiber_distances_lists_the_ks():
     assert fiber_distances(ts, 1) == []
     assert gamma_diameter(ts, 2) == 3
     assert gamma_diameter(ts, 1) == 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_scans_match_plain_loops_on_random_sets(seed):
+    rng = random.Random(seed)
+    delta = rng.randint(1, 12)
+    subset = [t for t in all_triples(delta) if rng.random() < 0.3]
+    ts = TriangleSet.from_triples(delta, subset)
+    members = ts.members()
+    assert members == sorted(subset)  # rank order is lexicographic order
+    assert all(type(x) is int for t in members for x in t)
+    for i in range(1, delta + 1):
+        want = [k for k in range(1, delta + 1) if tuple(sorted((i, i, k))) in subset]
+        got = fiber_distances(ts, i)
+        assert got == want
+        assert all(type(k) is int for k in got)
+        assert gamma_diameter(ts, i) == oracles.gamma_diameter(subset, i)
+
+
+def test_fiber_scans_validate_the_letter():
+    ts = TriangleSet.from_triples(4, [(1, 2, 2)])
+    for bad in (0, 5):
+        with pytest.raises(OutOfAlphabetError):
+            fiber_distances(ts, bad)
+        with pytest.raises(OutOfAlphabetError):
+            gamma_diameter(ts, bad)
+    with pytest.raises(InvalidInputError):
+        fiber_distances(ts, 2.0)
