@@ -27,9 +27,9 @@ from .errors import (
 from .permutations import Twist
 from .triangle_catalog import (
     TriangleSet,
-    _members_image,
     _tables,
     contains_geodesics,
+    image_set,
     is_metric,
 )
 
@@ -393,7 +393,8 @@ def apply_twist_metric(g: FiniteMetricGraph, twist: Twist) -> TwistedMetricRepor
     Distinct vertices are never at distance 0, so the twisted metric's
     triple set is the twist's image of the graph's own set: each member
     (a, b, c) becomes sorted (σa, σb, σc).  The metric and geodesic flags
-    are read off that image, in O(|set|) once the graph's set is cached.
+    are read off that image, whose cost is linear in the number of sorted
+    triples over 1..δ once the graph's set is cached, whatever n is.
     Only when some image triple breaks the triangle inequality are the
     matrix rows scanned, in order, for the first violating pair (i, j)
     and its least midpoint k, at n² per row.
@@ -410,7 +411,7 @@ def apply_twist_metric(g: FiniteMetricGraph, twist: Twist) -> TwistedMetricRepor
     m = lookup[g.dist]
     m.setflags(write=False)
 
-    realized = _members_image(graph_triangle_set(g), twist)
+    realized = image_set(graph_triangle_set(g), twist)
     metric_ok = is_metric(realized)[0]
     triangle_witness = None
     if not metric_ok:

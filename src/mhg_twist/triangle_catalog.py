@@ -184,16 +184,13 @@ def _realized_cached(delta, k1, k2, c0, c1) -> TriangleSet:
     return TriangleSet.from_bool_array(delta, tabs.metric & (even_ok | odd_ok))
 
 
-def _image_ranks(delta: int, images: tuple, triples: np.ndarray) -> np.ndarray:
-    """Rank of each sorted triple's image, re-sorted, under the relabelling."""
-    mapped = np.asarray(images, dtype=np.int64)[triples - 1]
-    mapped.sort(axis=1)
-    return _tables(delta).rank3d[mapped[:, 0], mapped[:, 1], mapped[:, 2]]
-
-
 @lru_cache(maxsize=65536)
 def _rank_permutation_cached(delta: int, images: tuple) -> np.ndarray:
-    ranks = _image_ranks(delta, images, _tables(delta).triples)
+    tabs = _tables(delta)
+    imgs = np.asarray(images, dtype=np.int64)
+    mapped = imgs[tabs.triples - 1]
+    mapped.sort(axis=1)
+    ranks = tabs.rank3d[mapped[:, 0], mapped[:, 1], mapped[:, 2]]
     ranks.setflags(write=False)
     return ranks
 
@@ -213,19 +210,6 @@ def image_set(tset: TriangleSet, twist: Twist) -> TriangleSet:
     out = np.zeros_like(src)
     out[rank_permutation(twist)] = src
     return TriangleSet.from_bool_array(tset.delta, out)
-
-
-def _members_image(tset: TriangleSet, twist: Twist) -> TriangleSet:
-    """image_set computed from the members alone, caching nothing.
-
-    For one-off twists, such as the relabelling of one graph's metric:
-    image_set keeps a rank table over the whole alphabet per twist.
-    """
-    tabs = _tables(tset.delta)
-    members = tabs.triples[tset.to_bool_array()]
-    flags = np.zeros(tabs.n, dtype=bool)
-    flags[_image_ranks(tset.delta, twist.images, members)] = True
-    return TriangleSet.from_bool_array(tset.delta, flags)
 
 
 def is_metric(tset: TriangleSet) -> tuple[bool, tuple | None]:

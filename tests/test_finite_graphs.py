@@ -630,9 +630,9 @@ def test_graph_triangle_set_is_cached_on_the_graph(monkeypatch):
 
 
 def test_twist_grade_memory_is_quadratic():
-    # after one warm-up call (graph triple set and alphabet tables cached)
-    # a grade holds a few n x n arrays; the n**3 int64 sums array of a
-    # full three-index sweep is 1 MB alone at n = 50
+    # after one warm-up call (graph triple set, alphabet tables and the
+    # twist's rank table cached) a grade holds a few n x n arrays; the n**3
+    # int64 sums array of a full three-index sweep is 1 MB alone at n = 50
     g = cycle_graph(50)
     bound = 16 * g.n * g.n * 8
     for t in (mu(50, 7), *random_twists(25, 5, 2)):
