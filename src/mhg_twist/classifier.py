@@ -28,24 +28,11 @@ from .parameter_space import (
     realized_set,
     table1_rows,
 )
-from .permutations import Twist, mu, rho, rho_inverse, tau
+from .permutations import NAMED_TWISTS, Twist, mu, named_twists
 from .triangle_catalog import _tables, rank_permutation
 from .twistability import OUTCOME_TWISTABLE, check_twistable
 
 MAX_SEARCH_DELTA = 8
-
-#: display names for the four closed-form twists, in output order
-NAMED_TWISTS = ("rho", "rho-inv", "tau0", "tau1")
-
-
-def named_twists(delta: int) -> list[tuple[str, Twist]]:
-    """The four closed-form twists for one diameter, in display order."""
-    return [
-        ("rho", rho(delta)),
-        ("rho-inv", rho_inverse(delta)),
-        ("tau0", tau(delta, 0)),
-        ("tau1", tau(delta, 1)),
-    ]
 
 
 def _admissible_permutations(delta: int):
@@ -249,14 +236,6 @@ class Table1Report:
         )
 
 
-_KIND_TO_NAME = {
-    "rho": "rho",
-    "rho_inverse": "rho-inv",
-    "tau0": "tau0",
-    "tau1": "tau1",
-}
-
-
 def verify_table1(
     delta: int,
     families: dict[Twist, list[ParameterTuple]] | None = None,
@@ -267,8 +246,7 @@ def verify_table1(
     named = dict(named_twists(delta))
     rows = []
     expected_by_name: dict[str, set[ParameterTuple]] = {n: set() for n in NAMED_TWISTS}
-    for kind, params in table1_rows(delta):
-        name = _KIND_TO_NAME[kind]
+    for name, params in table1_rows(delta):
         expected_by_name[name].add(params)
         found = params in families.get(named[name], ())
         rows.append((name, params, found))

@@ -20,12 +20,9 @@ import json
 import sys
 
 from .classifier import (
-    _KIND_TO_NAME,
-    NAMED_TWISTS,
     classification_rows,
     classify_cycle_twists,
     find_twists,
-    named_twists,
     verify_table1,
     verify_theorem_twists,
 )
@@ -43,7 +40,7 @@ from .finite_graphs import (
     rook_graph,
 )
 from .parameter_space import INFINITY, ParameterTuple, table1_rows
-from .permutations import Twist, mu, parse_cycles
+from .permutations import NAMED_TWISTS, Twist, mu, named_twists, parse_cycles
 
 _CSV_FIELDS = ("sigma", "delta", "K1", "K2", "C", "Cprime", "verdict", "witness")
 
@@ -204,7 +201,7 @@ def _cmd_finite(args) -> int:
 
 def _cmd_table1(args) -> int:
     for kind, params in table1_rows(args.delta):
-        print(f"{_KIND_TO_NAME[kind]}: {params}")
+        print(f"{kind}: {params}")
     return 0
 
 

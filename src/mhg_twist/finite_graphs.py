@@ -93,6 +93,10 @@ class FiniteMetricGraph:
     def __setattr__(self, name, value):
         raise AttributeError("FiniteMetricGraph is immutable")
 
+    def __reduce__(self):
+        # rebuilt from the adjacency; the triple set is recomputed on demand
+        return (FiniteMetricGraph, (self.adjacency,))
+
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(int(x) for x in self.adjacency.sum(axis=1))
 
@@ -547,13 +551,13 @@ def complement_twist(
             f"the 1<->2 swap needs a diameter-2 graph, got diameter {g.diameter}"
         )
     report = apply_twist_metric(g, Twist((2, 1)))
-    comp = ~g.adjacency & ~np.eye(g.n, dtype=bool)
     if not report.unit_connected:
         return ComplementReport(
             connected=False, valid_metric=report.valid, metric_matches=None,
             graph=None, homogeneity=None, twistable=False,
         )
-    h = FiniteMetricGraph(comp)
+    # the swap sends distance 2 to 1: its unit graph is the complement
+    h = FiniteMetricGraph(report.matrix == 1)
     matches = bool((h.dist == report.matrix).all())
     hom = is_metrically_homogeneous(h, cap=cap, max_states=max_states)
     return ComplementReport(
@@ -575,14 +579,7 @@ def antipodal_double_cover(g: FiniteMetricGraph) -> FiniteMetricGraph:
     """
     if not isinstance(g, FiniteMetricGraph):
         raise InvalidInputError(f"expected a FiniteMetricGraph, got {type(g).__name__}")
-    n = g.n
-    cross = ~g.adjacency & ~np.eye(n, dtype=bool)
-    adj = np.zeros((2 * n, 2 * n), dtype=bool)
-    adj[:n, :n] = g.adjacency
-    adj[n:, n:] = g.adjacency
-    adj[:n, n:] = cross
-    adj[n:, :n] = cross.T
-    return FiniteMetricGraph(adj)
+    return _cover_candidate(g, "layered-complement")
 
 
 @dataclass(frozen=True)

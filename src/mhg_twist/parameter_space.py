@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError, InvalidInputError, InvalidStateError
-from .permutations import rho, rho_inverse, tau
+from .permutations import named_twists
 from .triangle_catalog import (
     TriangleSet,
     _tables,
@@ -29,10 +29,12 @@ from .triangle_catalog import (
     fiber_distances,
     image_set,
     is_metric,
-    realized_set as _realized_for,
 )
 
 INFINITY = float("inf")
+
+#: the candidate enumeration's budget on the diameter
+MAX_CANDIDATE_DELTA = 10
 
 # Anomaly labels, in the order they are reported.
 ANOMALY_PERIMETER_GAP = "perimeter-gap"
@@ -173,10 +175,32 @@ class ParameterTuple:
 
 
 def realized_set(params: ParameterTuple) -> TriangleSet:
-    """Triple set the tuple stands for (see module docstring for the rules)."""
+    """The triple set a parameter tuple stands for.
+
+    Membership for a sorted metric triple with perimeter p and minimum m:
+    odd p needs a finite K1 with 2*K1 + 1 <= p <= 2*K2 + 2*m and p < C1;
+    even p needs p < C0.
+    """
     if not isinstance(params, ParameterTuple):
         raise InvalidInputError(f"expected a ParameterTuple, got {params!r}")
-    return _realized_for(params)
+    return _realized_cached(
+        params.delta, params.k1, params.k2, params.c0, params.c1
+    )
+
+
+@lru_cache(maxsize=4096)
+def _realized_cached(delta, k1, k2, c0, c1) -> TriangleSet:
+    tabs = _tables(delta)
+    p = tabs.perimeter
+    even_ok = tabs.even & (p < c0)
+    # with k1 infinite the lower bound is never met, killing all odd triples
+    odd_ok = (
+        ~tabs.even
+        & (p >= 2 * k1 + 1)
+        & (p <= 2 * k2 + 2 * tabs.mins)
+        & (p < c1)
+    )
+    return TriangleSet.from_bool_array(delta, tabs.metric & (even_ok | odd_ok))
 
 
 @dataclass(frozen=True)
@@ -307,7 +331,7 @@ def _is_rule_set(tset: TriangleSet) -> bool:
     derived = derive_parameters(tset)
     if not derived.is_clean:
         return False
-    return tset == _realized_for(derived.to_params())
+    return tset == realized_set(derived.to_params())
 
 
 @lru_cache(maxsize=65536)
@@ -328,7 +352,7 @@ def is_self_consistent(params: ParameterTuple) -> bool:
     d = params.delta
     if d < 3:
         return True
-    for twist in (rho(d), rho_inverse(d), tau(d, 0), tau(d, 1)):
+    for _, twist in named_twists(d):
         image = image_set(tset, twist)
         if is_metric(image)[0] and contains_geodesics(image)[0]:
             if not _is_rule_set(image):
@@ -336,15 +360,15 @@ def is_self_consistent(params: ParameterTuple) -> bool:
     return True
 
 
-def enumerate_candidates(delta: int, max_delta: int = 10) -> list[ParameterTuple]:
+def enumerate_candidates(delta: int) -> list[ParameterTuple]:
     """All self-consistent tuples for one diameter, in lexicographic order.
 
     Keys sort with finite K1 first and K1 = inf last.  The search budget
-    caps delta at ``max_delta``.
+    caps delta at ``MAX_CANDIDATE_DELTA``.
     """
-    if not isinstance(delta, int) or not 3 <= delta <= max_delta:
+    if not isinstance(delta, int) or not 3 <= delta <= MAX_CANDIDATE_DELTA:
         raise BudgetError(
-            f"enumeration supports delta in 3..{max_delta}, got {delta!r}"
+            f"enumeration supports delta in 3..{MAX_CANDIDATE_DELTA}, got {delta!r}"
         )
     found = []
     k1_options = list(range(1, delta + 1)) + [INFINITY]
@@ -368,17 +392,17 @@ def enumerate_candidates(delta: int, max_delta: int = 10) -> list[ParameterTuple
 def table1_rows(delta: int) -> list[tuple[str, ParameterTuple]]:
     """Expected parameter families for the four closed-form twists.
 
-    Returns (kind, tuple) pairs with kind in rho / rho_inverse / tau0 /
-    tau1, sorted by kind then tuple.  Covers the generic rows at every
-    delta >= 3, the bipartite rows when delta and epsilon share parity,
-    and the exceptional small-diameter tau1 rows.
+    Returns (kind, tuple) pairs with kind one of the NAMED_TWISTS (rho,
+    rho-inv, tau0, tau1), sorted by kind then tuple.  Covers the generic
+    rows at every delta >= 3, the bipartite rows when delta and epsilon
+    share parity, and the exceptional small-diameter tau1 rows.
     """
     if not isinstance(delta, int) or delta < 3:
         raise InvalidInputError(f"rows are defined for delta >= 3, got {delta!r}")
     d = delta
     rows: list[tuple[str, ParameterTuple]] = [
         ("rho", ParameterTuple.from_c_values(d, 1, d, 2 * d + 2, 2 * d + 3)),
-        ("rho_inverse", ParameterTuple.from_c_values(d, d, d, 3 * d + 1, 3 * d + 2)),
+        ("rho-inv", ParameterTuple.from_c_values(d, d, d, 3 * d + 1, 3 * d + 2)),
     ]
     for eps, kind in ((0, "tau0"), (1, "tau1")):
         s = d + eps

@@ -1,8 +1,9 @@
 """Permutations of the distance alphabet {1..delta}.
 
 A twist is a bijection of the alphabet, applied pointwise to the distances
-of a graph of diameter delta.  Four closed-form families drive the
-classification engine:
+of a graph of diameter delta.  Closed-form families drive the
+classification engine; the first three give the four named twists of
+``named_twists`` (rho, rho-inv, tau0, tau1):
 
 * ``rho``          doubles the small distances and folds the large ones back,
 * ``rho_inverse``  undoes it,
@@ -56,11 +57,6 @@ class Twist:
 
     def __setattr__(self, name, value):
         raise AttributeError("Twist is immutable")
-
-    @property
-    def map(self) -> dict[int, int]:
-        """The permutation as a {point: image} dict."""
-        return {i + 1: v for i, v in enumerate(self.images)}
 
     def apply(self, i: int) -> int:
         """Image of a single distance."""
@@ -123,10 +119,6 @@ class Twist:
                 f"JSON delta {delta} does not match {t.delta} images"
             )
         return t
-
-    @classmethod
-    def from_cycles(cls, text: str, delta: int) -> "Twist":
-        return parse_cycles(text, delta)
 
     def __eq__(self, other):
         return isinstance(other, Twist) and self.images == other.images
@@ -207,12 +199,15 @@ def compose(a: Twist, b: Twist) -> Twist:
     return Twist(a.images[b.images[i] - 1] for i in range(a.delta))
 
 
-def invert(t: Twist) -> Twist:
-    return t.inverse()
+#: display names of the four closed-form twists, in output order
+NAMED_TWISTS = ("rho", "rho-inv", "tau0", "tau1")
 
 
-def format_cycles(t: Twist) -> str:
-    return t.cycles()
+def named_twists(delta: int) -> list[tuple[str, Twist]]:
+    """The four closed-form twists for one diameter, in display order."""
+    return list(
+        zip(NAMED_TWISTS, (rho(delta), rho_inverse(delta), tau(delta, 0), tau(delta, 1)))
+    )
 
 
 _CYCLES_RE = re.compile(r"^\s*(\(\s*(\d+\s*)*\)\s*)*$")

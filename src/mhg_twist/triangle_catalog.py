@@ -2,9 +2,9 @@
 
 A triple (i, j, k) with i <= j <= k records that some three vertices
 pairwise realize those distances.  The triple is *metric* when i + j >= k.
-Sets of triples are stored as bitsets indexed by the lexicographic rank of
-the triple, so images under a twist and membership tests are cheap and the
-classifier can batch whole families into numpy matrices.
+A set of triples is stored as one read-only bool flag per lexicographic
+rank of the triple, so images under a twist and membership tests are
+cheap and the classifier can batch whole families into numpy matrices.
 """
 from __future__ import annotations
 
@@ -31,21 +31,6 @@ def all_triples(delta: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def triple_rank(delta: int) -> dict[tuple[int, int, int], int]:
-    return {t: r for r, t in enumerate(all_triples(delta))}
-
-
-def is_triangle(triple) -> bool:
-    """Triangle inequality for a sorted triple."""
-    i, j, k = triple
-    return i + j >= k
-
-
-def perimeter(triple) -> int:
-    return sum(triple)
-
-
-@lru_cache(maxsize=None)
 def _tables(delta: int) -> SimpleNamespace:
     """Shared numpy lookup tables for one alphabet size."""
     trips = np.array(all_triples(delta), dtype=np.int64)
@@ -54,7 +39,8 @@ def _tables(delta: int) -> SimpleNamespace:
     mins = trips[:, 0]
     metric = trips[:, 0] + trips[:, 1] >= trips[:, 2]
     even = perim % 2 == 0
-    rank3d = np.full((delta + 1,) * 3, -1, dtype=np.int64)
+    # int32 ranks: C(66, 3) = 45,760 sorted triples at MAX_DELTA
+    rank3d = np.full((delta + 1,) * 3, -1, dtype=np.int32)
     rank3d[trips[:, 0], trips[:, 1], trips[:, 2]] = np.arange(n)
     geodesic = np.array(
         [rank3d[1, k, k + 1] for k in range(1, delta)], dtype=np.int64
@@ -76,53 +62,56 @@ def _tables(delta: int) -> SimpleNamespace:
 
 
 class TriangleSet:
-    """Immutable bitset of sorted triples over a fixed alphabet."""
+    """Immutable set of sorted triples over a fixed alphabet.
 
-    __slots__ = ("delta", "_bits")
+    Holds one read-only flag per triple rank.  Build it with
+    from_bool_array, from_triples or from_json, which check the input.
+    """
 
-    def __init__(self, delta: int, bits: int = 0):
-        _check_delta(delta)
+    __slots__ = ("delta", "_flags")
+
+    def __init__(self, delta: int, flags: np.ndarray):
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "_flags", flags)
 
     def __setattr__(self, name, value):
         raise AttributeError("TriangleSet is immutable")
 
+    def __reduce__(self):
+        return (TriangleSet.from_bool_array, (self.delta, self._flags))
+
     @classmethod
     def from_triples(cls, delta: int, triples) -> "TriangleSet":
         _check_delta(delta)
-        ranks = triple_rank(delta)
-        bits = 0
+        flags = np.zeros(_tables(delta).n, dtype=bool)
         for t in triples:
-            bits |= 1 << _rank_of(delta, ranks, t)
-        return cls(delta, bits)
+            flags[_rank_of(delta, t)] = True
+        return cls.from_bool_array(delta, flags)
 
     @classmethod
     def from_bool_array(cls, delta: int, arr) -> "TriangleSet":
-        arr = np.asarray(arr, dtype=bool)
-        if arr.shape != (_tables(delta).n,):
+        _check_delta(delta)
+        flags = np.array(arr, dtype=bool)
+        if flags.shape != (_tables(delta).n,):
             raise DimensionMismatchError(
-                f"expected {_tables(delta).n} flags for delta={delta}, got {arr.shape}"
+                f"expected {_tables(delta).n} flags for delta={delta}, got {flags.shape}"
             )
-        packed = np.packbits(arr.astype(np.uint8), bitorder="little")
-        return cls(delta, int.from_bytes(packed.tobytes(), "little"))
+        flags.setflags(write=False)
+        return cls(delta, flags)
 
     def to_bool_array(self) -> np.ndarray:
-        n = _tables(self.delta).n
-        raw = self._bits.to_bytes((n + 7) // 8, "little")
-        flags = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return flags[:n].astype(bool)
+        """The read-only flag per rank."""
+        return self._flags
 
     def __contains__(self, triple) -> bool:
-        r = _rank_of(self.delta, triple_rank(self.delta), triple)
-        return bool((self._bits >> r) & 1)
+        return bool(self._flags[_rank_of(self.delta, triple)])
 
     def members(self) -> list[tuple[int, int, int]]:
         trips = all_triples(self.delta)
-        return [trips[r] for r in np.flatnonzero(self.to_bool_array())]
+        return [trips[r] for r in np.flatnonzero(self._flags)]
 
     def __len__(self) -> int:
-        return self._bits.bit_count()
+        return int(np.count_nonzero(self._flags))
 
     def __iter__(self):
         return iter(self.members())
@@ -131,11 +120,11 @@ class TriangleSet:
         return (
             isinstance(other, TriangleSet)
             and self.delta == other.delta
-            and self._bits == other._bits
+            and self._flags.tobytes() == other._flags.tobytes()
         )
 
     def __hash__(self):
-        return hash((self.delta, self._bits))
+        return hash((self.delta, self._flags.tobytes()))
 
     def __repr__(self):
         return f"TriangleSet(delta={self.delta}, size={len(self)})"
@@ -155,33 +144,6 @@ class TriangleSet:
         except (json.JSONDecodeError, TypeError, KeyError) as exc:
             raise InvalidInputError(f"bad triangle-set JSON: {text!r}") from exc
         return cls.from_triples(delta, triples)
-
-
-def realized_set(params) -> TriangleSet:
-    """The triple set a parameter tuple stands for.
-
-    Membership for a sorted metric triple with perimeter p and minimum m:
-    odd p needs a finite K1 with 2*K1 + 1 <= p <= 2*K2 + 2*m and p < C1;
-    even p needs p < C0.
-    """
-    return _realized_cached(
-        params.delta, params.k1, params.k2, params.c0, params.c1
-    )
-
-
-@lru_cache(maxsize=4096)
-def _realized_cached(delta, k1, k2, c0, c1) -> TriangleSet:
-    tabs = _tables(delta)
-    p = tabs.perimeter
-    even_ok = tabs.even & (p < c0)
-    # with k1 infinite the lower bound is never met, killing all odd triples
-    odd_ok = (
-        ~tabs.even
-        & (p >= 2 * k1 + 1)
-        & (p <= 2 * k2 + 2 * tabs.mins)
-        & (p < c1)
-    )
-    return TriangleSet.from_bool_array(delta, tabs.metric & (even_ok | odd_ok))
 
 
 @lru_cache(maxsize=65536)
@@ -253,7 +215,7 @@ def fiber_distances(tset: TriangleSet, i: int) -> list[int]:
     return ks[tset.to_bool_array()[ranks]].tolist()
 
 
-def _rank_of(delta, ranks, triple) -> int:
+def _rank_of(delta, triple) -> int:
     t = tuple(triple)
     if len(t) != 3:
         raise InvalidInputError(f"expected a triple, got {t!r}")
@@ -263,7 +225,7 @@ def _rank_of(delta, ranks, triple) -> int:
         raise InvalidInputError(f"triple must be sorted ascending: {t!r}")
     if not (1 <= t[0] and t[2] <= delta):
         raise OutOfAlphabetError(f"triple {t} not within 1..{delta}")
-    return ranks[t]
+    return int(_tables(delta).rank3d[t])
 
 
 def _check_delta(delta):

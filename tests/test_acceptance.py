@@ -26,10 +26,9 @@ from mhg_twist import (
     gamma_diameter,
     icosahedron,
     identity,
-    invert,
     is_metrically_homogeneous,
     named_twists,
-    realized_parameter_set,
+    realized_set,
     rho,
     rho_inverse,
     table1_rows,
@@ -37,14 +36,6 @@ from mhg_twist import (
     verify_table1,
     verify_theorem_twists,
 )
-
-KIND_TO_TWIST = {
-    "rho": rho,
-    "rho_inverse": rho_inverse,
-    "tau0": lambda d: tau(d, 0),
-    "tau1": lambda d: tau(d, 1),
-}
-
 
 def test_criterion_1_twist_catalog_is_exactly_the_four():
     start = time.monotonic()
@@ -81,9 +72,10 @@ def test_criterion_2_family_table_matches_exactly():
         report = verify_table1(delta)
         assert report.passed, report.lines()
         families = find_twists(delta)
+        kind_to_twist = dict(named_twists(delta))
         expected = {}
         for kind, params in table1_rows(delta):
-            expected.setdefault(KIND_TO_TWIST[kind](delta), set()).add(params)
+            expected.setdefault(kind_to_twist[kind], set()).add(params)
         for twist, rows in expected.items():
             assert set(families[twist]) == rows, twist.cycles()
         # the lone generic-type bipartite family sits at matching parity
@@ -153,7 +145,7 @@ def test_criterion_5_catalog_laws():
         saw_antipodal = False
         saw_full_k2 = False
         for p in enumerate_candidates(delta):
-            ts = realized_parameter_set(p)
+            ts = realized_set(p)
             # (a) even isosceles triples are always realized
             for i in range(1, delta + 1):
                 for k in range(1, min(i, delta - i) + 1):
@@ -199,7 +191,7 @@ def test_criterion_6_round_trips_and_family_bijection():
                     continue
                 members[t].add(p)
                 images[t].add(verdict.image_params)
-                back = check_twistable(verdict.image_params, invert(t))
+                back = check_twistable(verdict.image_params, t.inverse())
                 assert back.twistable and back.image_params == p, (p, t)
         for t in members:
-            assert images[t] == members[invert(t)]
+            assert images[t] == members[t.inverse()]

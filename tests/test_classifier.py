@@ -19,7 +19,6 @@ from mhg_twist import (
     enumerate_candidates,
     find_twists,
     identity,
-    invert,
     mu,
     named_twists,
     rho,
@@ -274,7 +273,7 @@ def test_cycle_twists_closed_under_inversion():
     for n in (7, 11, 12, 15, 20):
         got = set(classify_cycle_twists(n))
         for t in got:
-            assert invert(t) in got
+            assert t.inverse() in got
 
 
 def test_cycle_twists_input_validation():

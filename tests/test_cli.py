@@ -326,6 +326,59 @@ def test_finite_errors(capsys):
 # table1
 
 
+#: the whole table1 stdout for delta 3..8, pinned line for line
+TABLE1_STDOUT = {
+    3: (
+        "rho: (delta=3, K1=1, K2=3, C=8, C'=9)\n"
+        "rho-inv: (delta=3, K1=3, K2=3, C=10, C'=11)\n"
+        "tau0: (delta=3, K1=1, K2=2, C=7, C'=8)\n"
+        "tau1: (delta=3, K1=1, K2=2, C=9, C'=10)\n"
+        "tau1: (delta=3, K1=1, K2=2, C=10, C'=11)\n"
+        "tau1: (delta=3, K1=2, K2=2, C=9, C'=10)\n"
+        "tau1: (delta=3, K1=2, K2=2, C=10, C'=11)\n"
+        "tau1: (delta=3, K1=inf, K2=0, C=7, C'=10)\n"
+    ),
+    4: (
+        "rho: (delta=4, K1=1, K2=4, C=10, C'=11)\n"
+        "rho-inv: (delta=4, K1=4, K2=4, C=13, C'=14)\n"
+        "tau0: (delta=4, K1=2, K2=2, C=9, C'=10)\n"
+        "tau0: (delta=4, K1=inf, K2=0, C=9, C'=10)\n"
+        "tau1: (delta=4, K1=1, K2=3, C=11, C'=12)\n"
+        "tau1: (delta=4, K1=1, K2=3, C=11, C'=14)\n"
+        "tau1: (delta=4, K1=2, K2=3, C=11, C'=12)\n"
+        "tau1: (delta=4, K1=2, K2=3, C=11, C'=14)\n"
+    ),
+    5: (
+        "rho: (delta=5, K1=1, K2=5, C=12, C'=13)\n"
+        "rho-inv: (delta=5, K1=5, K2=5, C=16, C'=17)\n"
+        "tau0: (delta=5, K1=2, K2=3, C=11, C'=12)\n"
+        "tau1: (delta=5, K1=3, K2=3, C=13, C'=14)\n"
+        "tau1: (delta=5, K1=inf, K2=0, C=11, C'=14)\n"
+    ),
+    6: (
+        "rho: (delta=6, K1=1, K2=6, C=14, C'=15)\n"
+        "rho-inv: (delta=6, K1=6, K2=6, C=19, C'=20)\n"
+        "tau0: (delta=6, K1=3, K2=3, C=13, C'=14)\n"
+        "tau0: (delta=6, K1=inf, K2=0, C=13, C'=14)\n"
+        "tau1: (delta=6, K1=3, K2=4, C=15, C'=16)\n"
+    ),
+    7: (
+        "rho: (delta=7, K1=1, K2=7, C=16, C'=17)\n"
+        "rho-inv: (delta=7, K1=7, K2=7, C=22, C'=23)\n"
+        "tau0: (delta=7, K1=3, K2=4, C=15, C'=16)\n"
+        "tau1: (delta=7, K1=4, K2=4, C=17, C'=18)\n"
+        "tau1: (delta=7, K1=inf, K2=0, C=15, C'=18)\n"
+    ),
+    8: (
+        "rho: (delta=8, K1=1, K2=8, C=18, C'=19)\n"
+        "rho-inv: (delta=8, K1=8, K2=8, C=25, C'=26)\n"
+        "tau0: (delta=8, K1=4, K2=4, C=17, C'=18)\n"
+        "tau0: (delta=8, K1=inf, K2=0, C=17, C'=18)\n"
+        "tau1: (delta=8, K1=4, K2=5, C=19, C'=20)\n"
+    ),
+}
+
+
 def test_table1_delta_3(capsys):
     code, out, _ = run(capsys, ["table1", "--delta", "3"])
     assert code == 0
@@ -339,6 +392,11 @@ def test_table1_delta_3(capsys):
 def test_table1_delta_6_has_bipartite_tau0(capsys):
     _, out, _ = run(capsys, ["table1", "--delta", "6"])
     assert "tau0: (delta=6, K1=inf, K2=0, C=13, C'=14)" in out.splitlines()
+
+
+@pytest.mark.parametrize("delta", sorted(TABLE1_STDOUT))
+def test_table1_stdout_is_pinned(capsys, delta):
+    assert run(capsys, ["table1", "--delta", str(delta)]) == (0, TABLE1_STDOUT[delta], "")
 
 
 # ---------------------------------------------------------------------------

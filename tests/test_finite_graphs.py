@@ -1,7 +1,9 @@
 """Concrete graphs: constructors, metrics, homogeneity, twists, covers, IO."""
 
+import copy
 import itertools
 import json
+import pickle
 import time
 import tracemalloc
 
@@ -42,7 +44,7 @@ from mhg_twist import (
     load_graph_file,
     mu,
     path_metric,
-    realized_parameter_set,
+    realized_set,
     rook_graph,
     tau,
     to_adjacency_json,
@@ -192,9 +194,30 @@ def test_graph_is_immutable():
         g.adjacency[0, 1] = 0
     with pytest.raises(ValueError):
         g.dist[0, 1] = 9
-    copy = path_metric(g)
-    copy[0, 1] = 9  # the copy is the caller's to mutate
+    mine = path_metric(g)
+    mine[0, 1] = 9  # the copy is the caller's to mutate
     assert g.dist[0, 1] == 1
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_graph_copies_and_pickles(clone):
+    g = petersen()
+    ts = graph_triangle_set(g)
+    h = clone(g)
+    assert h is not g
+    assert (h.adjacency == g.adjacency).all() and (h.dist == g.dist).all()
+    assert h.diameter == g.diameter
+    # the triple set is recomputed on demand, equal to the original's
+    assert graph_triangle_set(h) == ts
+    assert hash(graph_triangle_set(h)) == hash(ts)
+    with pytest.raises(AttributeError):
+        h.n = 3
+    with pytest.raises(ValueError):
+        h.dist[0, 1] = 9
 
 
 @pytest.mark.parametrize(
@@ -723,7 +746,7 @@ def test_cycle_7_triangle_set_derives_but_is_no_rule_set():
     p = ParameterTuple.from_c_values(3, 3, 3, 8, 9)
     assert res.matches(p)
     # the rule set for those numbers realizes more triples than the cycle
-    rule = realized_parameter_set(p)
+    rule = realized_set(p)
     assert set(ts.members()) < set(rule.members())
     assert not is_self_consistent(p)
 
@@ -733,7 +756,7 @@ def test_icosahedron_triangle_set_is_the_tau0_row():
     p = derive_parameters(ts).to_params()
     assert p == ParameterTuple.from_c_values(3, 1, 2, 7, 8)
     assert is_self_consistent(p)
-    assert realized_parameter_set(p).members() == ts.members()
+    assert realized_set(p).members() == ts.members()
     # catalog and concrete graph agree on the unique twist
     v = check_twistable(p, tau(3, 0))
     assert v.twistable

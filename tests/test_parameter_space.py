@@ -21,9 +21,10 @@ from mhg_twist import (
     is_metric,
     is_self_consistent,
     named_twists,
-    realized_parameter_set,
+    realized_set,
     table1_rows,
 )
+from mhg_twist.permutations import NAMED_TWISTS
 
 # delta -> number of self-consistent tuples, pinned by the first full sweep
 SELF_CONSISTENT_COUNTS = {3: 13, 4: 42, 5: 78, 6: 171, 7: 284, 8: 486}
@@ -158,14 +159,14 @@ def test_realized_set_matches_oracle(delta):
     for p in tuples_to_probe(delta):
         k1 = None if p.k1 == INFINITY else p.k1
         want = oracles.realized(delta, k1, p.k2, p.c0, p.c1)
-        got = set(realized_parameter_set(p).members())
+        got = set(realized_set(p).members())
         assert got == want, p
 
 
 @pytest.mark.parametrize("delta", range(3, 9))
 def test_derive_matches_oracle(delta):
     for p in enumerate_candidates(delta)[::5]:
-        ts = realized_parameter_set(p)
+        ts = realized_set(p)
         res = derive_parameters(ts)
         k1, k2, c0, c1 = oracles.derive(ts.members(), delta)
         assert res.k1 == (INFINITY if k1 is None else k1)
@@ -237,14 +238,13 @@ def test_enumeration_budget():
         enumerate_candidates(11)
     with pytest.raises(BudgetError):
         enumerate_candidates(2)
-    assert enumerate_candidates(11, max_delta=11)
 
 
 @pytest.mark.parametrize("row", CLOSURE_REJECTS, ids=lambda r: "d%d-%s-%s-%d-%d" % r[:5])
 def test_closure_rejects(row):
     delta, k1, k2, c0, c1, reject = row
     p = make(delta, k1, k2, c0, c1)
-    ts = realized_parameter_set(p)
+    ts = realized_set(p)
     res = derive_parameters(ts)
     # passes the plain derivation round trip
     assert res.is_clean and res.matches(p)
@@ -258,7 +258,7 @@ def test_closure_rejects(row):
     back = derive_parameters(img)
     if back.is_clean:
         q = back.to_params()
-        assert realized_parameter_set(q).members() != img.members()
+        assert realized_set(q).members() != img.members()
 
 
 @pytest.mark.parametrize("delta", range(3, 13))
@@ -270,6 +270,11 @@ def test_table1_rows_are_self_consistent(delta):
         assert is_self_consistent(p), (kind, p)
 
 
+@pytest.mark.parametrize("delta", range(3, 13))
+def test_table1_kinds_are_the_named_twists(delta):
+    assert {kind for kind, _ in table1_rows(delta)} <= set(NAMED_TWISTS)
+
+
 @pytest.mark.parametrize("delta", range(3, 9))
 def test_table1_row_shapes(delta):
     d = delta
@@ -279,7 +284,7 @@ def test_table1_row_shapes(delta):
         by_kind.setdefault(kind, []).append(p)
     assert by_kind["rho"] == [ParameterTuple(d, 1, d, 2 * d + 2, 2 * d + 3)]
     ri = ParameterTuple.from_c_values(d, d, d, 3 * d + 1, 3 * d + 2)
-    assert by_kind["rho_inverse"] == [ri]
+    assert by_kind["rho-inv"] == [ri]
     for eps, kind in ((0, "tau0"), (1, "tau1")):
         generic = ParameterTuple.from_c_values(
             d, (d + eps) // 2, (d + eps + 1) // 2,

@@ -11,9 +11,7 @@ from mhg_twist import (
     OutOfAlphabetError,
     Twist,
     compose,
-    format_cycles,
     identity,
-    invert,
     mu,
     parse_cycles,
     rho,
@@ -69,7 +67,7 @@ def test_identity_cycles_and_flag():
 def test_rho_composes_to_identity(delta):
     assert compose(rho(delta), rho_inverse(delta)).is_identity()
     assert compose(rho_inverse(delta), rho(delta)).is_identity()
-    assert invert(rho(delta)) == rho_inverse(delta)
+    assert rho(delta).inverse() == rho_inverse(delta)
 
 
 @pytest.mark.parametrize("delta", range(3, 13))
@@ -77,14 +75,13 @@ def test_rho_composes_to_identity(delta):
 def test_tau_is_an_involution(delta, eps):
     t = tau(delta, eps)
     assert compose(t, t).is_identity()
-    assert invert(t) == t
+    assert t.inverse() == t
 
 
 @pytest.mark.parametrize("delta", sorted(CYCLE_FORMS))
 def test_cycles_roundtrip(delta):
     for t in (rho(delta), rho_inverse(delta), tau(delta, 0), tau(delta, 1)):
         assert parse_cycles(t.cycles(), delta) == t
-        assert format_cycles(t) == t.cycles()
 
 
 def test_parse_cycles_whitespace_and_commas():
@@ -107,7 +104,7 @@ def test_mu_frozen_values():
     assert mu(7, 3).cycles() == "(1 3 2)"
     assert mu(5, 2).cycles() == "(1 2)"
     assert mu(6, 5).is_identity()
-    assert invert(mu(7, 2)) == mu(7, 4)
+    assert mu(7, 2).inverse() == mu(7, 4)
 
 
 @pytest.mark.parametrize("n", range(5, 26))

@@ -18,11 +18,10 @@ from mhg_twist import (
     enumerate_candidates,
     gamma_diameter,
     identity,
-    invert,
     mu,
     named_twists,
     parse_cycles,
-    realized_parameter_set,
+    realized_set,
     rho,
     rho_inverse,
     table1_rows,
@@ -44,7 +43,7 @@ def catalog(delta):
 def test_even_isosceles_triples_always_realized(delta):
     # (i, i, 2k) is in every rule set once k <= i and i + k <= delta
     for p in catalog(delta):
-        ts = realized_parameter_set(p)
+        ts = realized_set(p)
         for i in range(1, delta + 1):
             for k in range(0, min(i, delta - i) + 1):
                 if k == 0:
@@ -67,7 +66,7 @@ def test_antipodal_tuples_split_delta(delta):
 def test_expected_rows_obey_the_gamma_ladder(delta):
     # diam(Gamma_{delta-i}) climbs from diam(Gamma_delta) in steps of two
     for _, p in table1_rows(delta):
-        ts = realized_parameter_set(p)
+        ts = realized_set(p)
         dprime = gamma_diameter(ts, delta)
         for i in range((delta - dprime) // 2 + 1):
             assert gamma_diameter(ts, delta - i) == dprime + 2 * i, (p, i)
@@ -79,7 +78,7 @@ def test_gamma_ladder_breaks_only_off_the_expected_rows():
     for delta in DELTAS:
         expected = {p for _, p in table1_rows(delta)}
         for p in catalog(delta):
-            ts = realized_parameter_set(p)
+            ts = realized_set(p)
             dprime = gamma_diameter(ts, delta)
             holds = all(
                 gamma_diameter(ts, delta - i) == dprime + 2 * i
@@ -103,7 +102,7 @@ def test_full_k2_cap_relation(delta):
     for p in catalog(delta):
         if p.k2 == delta:
             seen += 1
-            dprime = gamma_diameter(realized_parameter_set(p), delta)
+            dprime = gamma_diameter(realized_set(p), delta)
             assert p.c_prime == 2 * delta + dprime + 2, (p, dprime)
     assert seen > 0
 
@@ -112,11 +111,11 @@ def test_full_k2_cap_relation(delta):
 def test_group_laws(delta):
     assert compose(rho(delta), rho_inverse(delta)) == identity(delta)
     assert compose(rho_inverse(delta), rho(delta)) == identity(delta)
-    assert invert(rho(delta)) == rho_inverse(delta)
+    assert rho(delta).inverse() == rho_inverse(delta)
     for eps in (0, 1):
         t = tau(delta, eps)
         assert compose(t, t) == identity(delta)
-        assert invert(t) == t
+        assert t.inverse() == t
 
 
 @pytest.mark.parametrize("delta", DELTAS)
@@ -128,7 +127,7 @@ def test_twistability_is_symmetric_under_inversion(delta):
             if not verdict.twistable:
                 continue
             families[t].append((p, verdict.image_params))
-            back = check_twistable(verdict.image_params, invert(t))
+            back = check_twistable(verdict.image_params, t.inverse())
             assert back.twistable, (p, t)
             assert back.image_params == p, (p, t)
 
@@ -146,8 +145,8 @@ def test_twist_families_are_in_bijection_with_inverse_families(delta):
                 members[t].add(p)
                 images[t].add(verdict.image_params)
     for _, t in named_twists(delta):
-        assert images[t] == members[invert(t)]
-        assert len(members[t]) == len(members[invert(t)])
+        assert images[t] == members[t.inverse()]
+        assert len(members[t]) == len(members[t.inverse()])
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +163,9 @@ def twists(draw, min_delta=1, max_delta=12):
 @given(twists())
 @settings(deadline=None)
 def test_random_twist_inverse_laws(t):
-    assert compose(t, invert(t)) == identity(t.delta)
-    assert compose(invert(t), t) == identity(t.delta)
-    assert invert(invert(t)) == t
+    assert compose(t, t.inverse()) == identity(t.delta)
+    assert compose(t.inverse(), t) == identity(t.delta)
+    assert t.inverse().inverse() == t
 
 
 @given(twists())
@@ -196,7 +195,7 @@ def test_random_triple_images_match_membership(data):
     x = data.draw(st.sampled_from(triples))
     y = t.apply_to_triple(x)
     assert y == tuple(sorted(t.apply(v) for v in x))
-    assert invert(t).apply_to_triple(y) == x
+    assert t.inverse().apply_to_triple(y) == x
 
 
 @given(st.data())
@@ -213,7 +212,7 @@ def test_random_tuple_scans_match_oracle(data):
         )
     except InvalidInputError:
         return
-    ts = realized_parameter_set(p)
+    ts = realized_set(p)
     want = oracles.realized(delta, k1, k2, p.c0, p.c1)
     assert set(ts.members()) == want
     got = oracles.derive(set(ts.members()), delta)
@@ -233,4 +232,4 @@ def test_random_cycle_relabelings(data):
     t = mu(n, k)
     assert t == mu(n, n - k)
     kinv = pow(k, -1, n)
-    assert invert(t) in (mu(n, kinv), mu(n, n - kinv))
+    assert t.inverse() in (mu(n, kinv), mu(n, n - kinv))

@@ -1,5 +1,7 @@
 """Triangle sets: enumeration, membership, images, metric and geodesic scans."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -16,7 +18,6 @@ from mhg_twist import (
     gamma_diameter,
     identity,
     image_set,
-    invert,
     is_metric,
     rho,
     rho_inverse,
@@ -61,6 +62,33 @@ def test_bool_array_roundtrip():
     assert again.members() == full.members()
 
 
+def test_flags_are_read_only_and_owned():
+    flags = [True] * len(all_triples(3))
+    ts = TriangleSet.from_bool_array(3, flags)
+    flags[0] = False  # the caller's list is not the set's storage
+    assert len(ts) == len(all_triples(3))
+    with pytest.raises(ValueError):
+        ts.to_bool_array()[0] = False
+    with pytest.raises(DimensionMismatchError):
+        TriangleSet.from_bool_array(3, flags[1:])
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_set_copies_and_pickles(clone):
+    ts = TriangleSet.from_triples(5, [(1, 2, 3), (2, 2, 4), (5, 5, 5)])
+    c = clone(ts)
+    assert c == ts and hash(c) == hash(ts)
+    assert c.members() == ts.members()
+    with pytest.raises(AttributeError):
+        c.delta = 4
+    with pytest.raises(ValueError):
+        c.to_bool_array()[0] = True
+
+
 def test_json_roundtrip():
     ts = TriangleSet.from_triples(5, [(1, 2, 3), (5, 5, 5)])
     assert TriangleSet.from_json(ts.to_json()).members() == ts.members()
@@ -82,7 +110,7 @@ def test_image_membership_goes_through_the_inverse(delta):
     ts = TriangleSet.from_triples(delta, subset)
     twist = rho(delta)
     img = image_set(ts, twist)
-    inv = invert(twist)
+    inv = twist.inverse()
     for x in all_triples(delta):
         assert (x in img) == (inv.apply_to_triple(x) in ts)
 

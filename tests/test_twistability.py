@@ -17,11 +17,10 @@ from mhg_twist import (
     enumerate_candidates,
     identity,
     image_set,
-    invert,
     is_metric,
     is_self_consistent,
     named_twists,
-    realized_parameter_set,
+    realized_set,
     rho,
     tau,
     twist_image_parameters,
@@ -146,7 +145,7 @@ def test_inversion_symmetry(delta):
             if v.outcome != OUTCOME_TWISTABLE:
                 continue
             q = v.image_params
-            back = check_twistable(q, invert(t))
+            back = check_twistable(q, t.inverse())
             assert back.outcome == OUTCOME_TWISTABLE
             assert back.image_params == p
 
@@ -155,7 +154,7 @@ def test_inversion_symmetry(delta):
 def test_verdict_agrees_with_raw_scans(delta):
     # outcome must be exactly what the image set says
     for p in enumerate_candidates(delta)[::3]:
-        ts = realized_parameter_set(p)
+        ts = realized_set(p)
         for name, t in named_twists(delta):
             v = check_twistable(p, t)
             img = image_set(ts, t)
@@ -169,4 +168,4 @@ def test_verdict_agrees_with_raw_scans(delta):
                 assert v.witness_distance == hole
             else:
                 assert metric_ok and geo_ok
-                assert realized_parameter_set(v.image_params).members() == img.members()
+                assert realized_set(v.image_params).members() == img.members()
