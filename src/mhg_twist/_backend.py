@@ -29,6 +29,21 @@ exhaustive walk, and the depth certificate keeps its meaning.  At full
 depth a stuck map has at most n-1 points and is always a witness, so
 the all-roots walk never runs there.
 
+Forced extensions.  When every vertex has exactly one candidate image
+under a partial isometry f, its domain resolves the graph (a metric
+basis: Slater 1975; Harary & Melter 1976) and f has at most one total
+extension, the map F sending each vertex to its candidate.  If F is a
+bijection and an isometry it is an automorphism, and every descendant
+of f in the walk is a restriction of F: each added point can only take
+its one candidate, which is its image under F.  A restriction of an
+automorphism extends by one point, so the subtree below f holds no
+stuck map and the kernel builds no children for f, in the single-root
+walk and the all-roots walk alike.  The cut removes only stuck-free
+subtrees, so verdicts and witnesses are those of the full walk; only
+the state count falls.  Which prefix of a domain resolves first
+depends on the vertex labels, so unlike the full walk's count the cut
+walk's count changes when a graph is relabelled.
+
 Both steps count their states (maps built) against one state budget,
 and the kernel checks the budget while it builds a level, so a level
 past the budget is never held in memory.
@@ -45,6 +60,9 @@ DEFAULT_STATE_BUDGET = 30_000_000
 
 #: states checked per numpy block in the level kernel
 _CHUNK = 8192
+
+#: forced rows per automorphism check; its int64 scratch is an eighth of a block's match
+_ISO_ROWS = _CHUNK // 64
 
 
 def _budget_error(max_states: int, n: int) -> BudgetError:
@@ -81,15 +99,47 @@ def _transversal(dist, states, max_states):
     return states, None
 
 
+def _forced_automorphisms(dist, doms, match):
+    """Rows whose subtrees the forced-extension cut skips.
+
+    match[r, a, b] says a -> b keeps every distance to row r's partial
+    isometry f, so each domain vertex has exactly its own image.  A row
+    is forced when every vertex has exactly one candidate; F maps each
+    vertex to it.  Returns the indices of the forced rows whose F is an
+    automorphism, in order, leaving out rows whose domain ends at the
+    last vertex: they have no children to skip.  Counting all of a
+    row's candidates at once is exact: a row with n of them and an
+    empty vertex x cannot pass, since an automorphism F that extends f
+    would make F(x) a candidate of x.  F is an automorphism when it
+    keeps every distance; that makes it a bijection too, for F(x) = F(y)
+    would put x and y at distance 0.  F and dist[F, F] are built for
+    _ISO_ROWS rows at a time.
+    """
+    s, n, _ = match.shape
+    total = np.count_nonzero(match.reshape(s, n * n), axis=1)
+    rows = np.flatnonzero((total == n) & (doms[:, -1] < n - 1))
+    if not rows.size:
+        return rows
+    flat = dist.reshape(-1)
+    keep = np.zeros(rows.size, dtype=bool)
+    for start in range(0, rows.size, _ISO_ROWS):
+        f = match[rows[start : start + _ISO_ROWS]].argmax(axis=2)
+        pairs = flat[(f * n)[:, :, None] + f[:, None, :]]
+        keep[start : start + _ISO_ROWS] = (pairs == dist).all(axis=(1, 2))
+    return rows[keep]
+
+
 def _extension_levels(dist, doms, imgs, max_depth, states, max_states):
     """Walk every partial isometry grown from the root rows (doms, imgs).
 
-    Returns (states, witness) with witness None when every map of at
-    most max_depth points extends by one point.  A level is held as the
-    list of blocks that made it, never concatenated.  Child rows are
-    counted before they are built; once the level in hand plus its
-    children pass max_states, no more children are kept, the level's
-    check runs to its end and BudgetError follows.
+    Returns (states, forced, witness) with witness None when every map
+    of at most max_depth points extends by one point, and forced the
+    number of rows whose children the forced-extension cut skipped.  A
+    level is held as the list of blocks that made it, never
+    concatenated.  Child rows are counted before they are built; once
+    the level in hand plus its children pass max_states, no more
+    children are kept, the level's check runs to its end and
+    BudgetError follows.
     """
     n = dist.shape[0]
     allv = np.arange(n)
@@ -98,6 +148,11 @@ def _extension_levels(dist, doms, imgs, max_depth, states, max_states):
     if states > max_states:
         raise _budget_error(max_states, n)
     level = [(doms, imgs)]
+    forced = 0
+    # one block's scratch, reused by every block: fresh arrays per block
+    # cost a page fault per 4 KB touched
+    match_buf = np.empty((_CHUNK, n, n), dtype=bool)
+    same_buf = np.empty((_CHUNK, n, n), dtype=bool)
     while True:
         grow_more = m < max_depth
         next_level = []
@@ -108,9 +163,13 @@ def _extension_levels(dist, doms, imgs, max_depth, states, max_states):
                 ichunk = part_imgs[start : start + _CHUNK]
                 s = dchunk.shape[0]
                 # match[r, a, b]: a -> b keeps every distance to row r's map
-                match = np.ones((s, n, n), dtype=bool)
-                for i in range(m):
-                    match &= dist[dchunk[:, i]][:, :, None] == dist[ichunk[:, i]][:, None, :]
+                match, same = match_buf[:s], same_buf[:s]
+                np.equal(
+                    dist[dchunk[:, 0]][:, :, None], dist[ichunk[:, 0]][:, None, :], out=match
+                )
+                for i in range(1, m):
+                    np.equal(dist[dchunk[:, i]][:, :, None], dist[ichunk[:, i]][:, None, :], out=same)
+                    match &= same
                 indom = np.zeros((s, n), dtype=bool)
                 np.put_along_axis(indom, dchunk, True, axis=1)
                 missing = ~match.any(axis=2) & ~indom
@@ -122,9 +181,12 @@ def _extension_levels(dist, doms, imgs, max_depth, states, max_states):
                         tuple(int(x) for x in ichunk[srow]),
                         stuck,
                     )
-                    return states, witness
+                    return states, forced, witness
                 if not grow_more:
                     continue
+                cut = _forced_automorphisms(dist, dchunk, match)
+                forced += cut.size
+                match[cut] = False
                 match &= (allv[None, :] > dchunk[:, -1:])[:, :, None]
                 match &= ~indom[:, :, None]
                 pending += int(np.count_nonzero(match))
@@ -143,7 +205,7 @@ def _extension_levels(dist, doms, imgs, max_depth, states, max_states):
         if states + pending > max_states:
             raise _budget_error(max_states, n)
         if not next_level:
-            return states, None
+            return states, forced, None
         level = next_level
         states += pending
         m += 1
@@ -156,27 +218,28 @@ def homogeneity_search(
 ):
     """Run the one-point extension search over a distance matrix.
 
-    Returns (ok, states, automorphisms, witness): witness is None on
-    success and (doms, imgs, stuck_vertex) on failure; automorphisms is
-    the number of transversal automorphisms built, n-1 when the
-    transversal completes and 0 when it got stuck or, at depth 0, did
-    not run.  Raises BudgetError
-    when the state budget runs out before an answer is reached.
+    Returns (ok, states, automorphisms, forced, witness): witness is
+    None on success and (doms, imgs, stuck_vertex) on failure;
+    automorphisms is the number of transversal automorphisms built, n-1
+    when the transversal completes and 0 when it got stuck or, at depth
+    0, did not run; forced is the number of rows whose subtrees the
+    forced-extension cut skipped.  Raises BudgetError when the state
+    budget runs out before an answer is reached.
     """
     d = np.ascontiguousarray(dist, dtype=np.int64)
     n = d.shape[0]
     depth = n - 1 if max_depth is None else min(max_depth, n - 1)
     states = 1
     if depth < 1:
-        return True, states, 0, None
+        return True, states, 0, 0, None
     states, stuck_map = _transversal(d, states, max_states)
     if stuck_map is None:
         automorphisms = n - 1
         roots = np.zeros((1, 1), np.int64), np.zeros((1, 1), np.int64)
     elif len(stuck_map[0]) <= depth:
-        return False, states, 0, stuck_map
+        return False, states, 0, 0, stuck_map
     else:
         automorphisms = 0
         roots = np.repeat(np.arange(n), n)[:, None], np.tile(np.arange(n), n)[:, None]
-    states, witness = _extension_levels(d, *roots, depth, states, max_states)
-    return witness is None, states, automorphisms, witness
+    states, forced, witness = _extension_levels(d, *roots, depth, states, max_states)
+    return witness is None, states, automorphisms, forced, witness

@@ -286,7 +286,9 @@ class HomogeneityResult:
     no valid image).  automorphisms counts the transversal
     automorphisms found, one sending 0 to each other vertex: n-1 when
     the transversal completes, which every complete pass needs, and 0
-    when it got stuck or did not run (depth 0).
+    when it got stuck or did not run (depth 0).  forced counts the
+    partial isometries whose subtrees the search skipped because their
+    only total extension is an automorphism (see _backend).
     """
 
     homogeneous: bool
@@ -295,6 +297,7 @@ class HomogeneityResult:
     complete: bool
     witness: tuple[tuple[int, ...], tuple[int, ...], int] | None
     automorphisms: int
+    forced: int
 
     def __bool__(self) -> bool:
         return self.homogeneous
@@ -310,6 +313,7 @@ class HomogeneityResult:
         return json.dumps(
             {
                 "automorphisms": self.automorphisms,
+                "forced": self.forced,
                 "homogeneous": self.homogeneous,
                 "states": self.states,
                 "depth": self.depth,
@@ -329,7 +333,8 @@ def is_metrically_homogeneous(
     """Decide whether every partial isometry extends to a total one.
 
     Once it has automorphisms sending 0 to every vertex, the search
-    walks only the partial isometries that hold 0↦0 (see _backend).
+    walks only the partial isometries that hold 0↦0, and none below a
+    map whose one total extension is an automorphism (see _backend).
     It is exponential in the worst case, so graphs above the
     vertex cap are refused and a state budget bounds the walk; both
     raise BudgetError.  max_depth bounds the partial isometry size
@@ -343,7 +348,7 @@ def is_metrically_homogeneous(
     if g.n > cap:
         raise BudgetError(f"graph has {g.n} vertices, over the cap of {cap}")
     depth = g.n - 1 if max_depth is None else max(0, min(max_depth, g.n - 1))
-    ok, states, automorphisms, witness = homogeneity_search(
+    ok, states, automorphisms, forced, witness = homogeneity_search(
         g.dist, max_depth=depth, max_states=max_states
     )
     return HomogeneityResult(
@@ -353,6 +358,7 @@ def is_metrically_homogeneous(
         complete=depth >= g.n - 1,
         witness=witness,
         automorphisms=automorphisms,
+        forced=forced,
     )
 
 
@@ -701,7 +707,10 @@ def find_antipodal_cover(
     base graph on every vertex neighborhood, and passes the
     homogeneity search.  The default homogeneity depth bounds that
     search to 3-point partial maps, a certificate rather than a proof;
-    pass None to demand the complete search.
+    pass None to demand the complete search.  The depth stays bounded
+    because the full search on J(6,3), the rook:3 cover, still walks
+    173,218 states with the forced-extension cut and takes about 70
+    times as long as the bounded one.
     """
     if not isinstance(g, FiniteMetricGraph):
         raise InvalidInputError(f"expected a FiniteMetricGraph, got {type(g).__name__}")

@@ -300,3 +300,32 @@ def homogeneous(dist, max_n=6, max_depth=None):
                     if not ok:
                         return False, (dom, img, a)
     return True, None
+
+
+def forced_extension(dist, dom, img):
+    """The one total extension of the partial isometry dom -> img, if forced.
+
+    A vertex's candidate images are the vertices whose distances to img
+    equal its distances to dom.  Returns F as a tuple when every vertex
+    has exactly one candidate and F is an automorphism (a bijection
+    keeping every distance), else None.
+    """
+    n = len(dist)
+    images = []
+    for a in range(n):
+        cands = []
+        for b in range(n):
+            if all(dist[a][dom[i]] == dist[b][img[i]] for i in range(len(dom))):
+                cands.append(b)
+                if len(cands) > 1:
+                    return None
+        if not cands:
+            return None
+        images.append(cands[0])
+    if len(set(images)) != n:
+        return None
+    for a in range(n):
+        for b in range(n):
+            if dist[images[a]][images[b]] != dist[a][b]:
+                return None
+    return tuple(images)

@@ -50,7 +50,7 @@ from mhg_twist import (
     to_adjacency_json,
     to_edge_list,
 )
-from mhg_twist import finite_graphs
+from mhg_twist import _backend, finite_graphs
 from mhg_twist._backend import _CHUNK
 
 PETERSEN_EDGES = "\n".join(
@@ -370,18 +370,22 @@ def relabel(g, seed):
 
 @pytest.mark.parametrize("seed", [7, 11])
 @pytest.mark.parametrize(
-    "build",
-    [icosahedron, lambda: crown_graph(5), lambda: complete_multipartite([3, 3, 3]),
-     lambda: rook_graph(3), lambda: cycle_graph(9)],
+    "build,full_walk",
+    [(icosahedron, 20424), (lambda: crown_graph(5), 10524),
+     (lambda: complete_multipartite([3, 3, 3]), 16098),
+     (lambda: rook_graph(3), 2050), (lambda: cycle_graph(9), 574)],
     ids=["ico", "crown5", "K333", "rook3", "C9"],
 )
-def test_relabelled_homogeneous_graph_keeps_verdict_and_states(build, seed):
-    # states holding 0->0 are as many as those holding v->v for any v
+def test_relabelled_homogeneous_graph_keeps_verdict_and_states(build, full_walk, seed):
+    # The walk without the forced-extension cut builds full_walk states
+    # under any labels (those holding 0->0 are as many as those holding
+    # v->v).  Which domain prefix resolves the graph first depends on the
+    # labels, so the cut walk's count moves with them but never passes it.
     g = build()
     base = is_metrically_homogeneous(g)
     res = is_metrically_homogeneous(relabel(g, seed))
     assert base.homogeneous and res.homogeneous
-    assert res.states == base.states
+    assert res.states <= full_walk and base.states <= full_walk
     assert res.automorphisms == g.n - 1
 
 
@@ -396,6 +400,78 @@ def test_relabelled_non_homogeneous_graph_keeps_a_witness(build, seed):
     res = is_metrically_homogeneous(g)
     assert not res.homogeneous
     validate_homogeneity_witness(g, res.witness)
+
+
+WORKLOAD_GRAPHS = [
+    ("ico", icosahedron), ("crown5", lambda: crown_graph(5)),
+    ("K333", lambda: complete_multipartite([3, 3, 3])),
+    ("rook3", lambda: rook_graph(3)), ("C9", lambda: cycle_graph(9)),
+    ("petersen", petersen), ("rook4", lambda: rook_graph(4)),
+    ("J52", lambda: johnson_graph(5, 2)),
+]
+
+FORCED_CASES = [
+    (name, build, depth)
+    for name, build in SMALL_CASES
+    for depth in range(1, build().n)
+] + [(name, lambda b=build: relabel(b(), 7), None) for name, build in WORKLOAD_GRAPHS]
+
+
+@pytest.mark.parametrize(
+    "name,build,depth", FORCED_CASES,
+    ids=[f"{c[0]}-d{c[2]}" if c[2] else f"{c[0]}-relabelled" for c in FORCED_CASES],
+)
+def test_forced_rows_match_the_oracle(name, build, depth, monkeypatch):
+    # Every row the kernel hands the forced-extension cut, on every level
+    # it grows, is cut exactly when the oracle finds a forced automorphism
+    # and the row has children to skip (its domain ends before n-1).
+    g = build()
+    dist = [list(map(int, row)) for row in g.dist]
+    real = _backend._forced_automorphisms
+    seen = {"rows": 0, "cut": 0}
+
+    def spy(d, doms, match):
+        cut = set(real(d, doms, match).tolist())
+        for r, dom in enumerate(doms.tolist()):
+            # each domain vertex's one candidate is its image
+            img = [int(np.flatnonzero(match[r, a])[0]) for a in dom]
+            forced = oracles.forced_extension(dist, dom, img)
+            want = forced is not None and dom[-1] < g.n - 1
+            assert (r in cut) == want, (dom, img, forced)
+        seen["rows"] += len(doms)
+        seen["cut"] += len(cut)
+        return np.array(sorted(cut), dtype=np.int64)
+
+    monkeypatch.setattr(_backend, "_forced_automorphisms", spy)
+    res = is_metrically_homogeneous(g, max_depth=depth)
+    assert res.forced == seen["cut"]
+    if depth is None and res.homogeneous:
+        assert seen["rows"] > 0
+
+
+@pytest.mark.parametrize(
+    "edges,dom,img,cut",
+    [
+        ("0 1\n1 2\n2 3\n", (0,), (3,), True),  # F = (3, 2, 1, 0), the reflection
+        ("0 2\n0 3\n0 4\n1 3\n1 4\n2 3\n", (1, 2), (2, 1), False),  # F = (4, 2, 1, 3, 0)
+        ("0 1\n0 2\n2 3\n", (0,), (1,), False),  # F = (1, 0, 0, 2)
+    ],
+    ids=["automorphism", "bijection-not-isometry", "not-a-bijection"],
+)
+def test_forced_rows_are_cut_only_at_automorphisms(edges, dom, img, cut):
+    # Every vertex has one candidate in each case, but only the first F
+    # keeps every distance.  No kernel walk in this suite meets a forced
+    # map like the last two, so the cut is checked on them directly.
+    g = from_edge_list(edges)
+    dist = np.ascontiguousarray(g.dist, dtype=np.int64)
+    match = np.ones((1, g.n, g.n), dtype=bool)
+    for a, b in zip(dom, img):
+        match[0] &= dist[a][:, None] == dist[b][None, :]
+    assert (match.sum(axis=2) == 1).all()
+    want = oracles.forced_extension([list(map(int, r)) for r in dist], dom, img)
+    assert (want is not None) == cut
+    got = _backend._forced_automorphisms(dist, np.array([dom]), match)
+    assert got.tolist() == ([0] if cut else [])
 
 
 def test_homogeneity_budget_bounds_memory():
@@ -430,9 +506,31 @@ def test_icosahedron_is_homogeneous():
     res = is_metrically_homogeneous(icosahedron())
     assert res.homogeneous
     assert res.complete
-    # pinned search statistic: 1 + 11 * 11 transversal steps + 20,302
-    # partial isometries holding 0->0
-    assert res.states == 20424
+    # pinned search statistic: 1 + 11 * 11 transversal steps + 652
+    # partial isometries holding 0->0; the walk without the
+    # forced-extension cut built 20,302 of them
+    assert res.states == 774
+    assert res.forced == 500
+    assert json.loads(res.to_json())["forced"] == 500
+
+
+@pytest.mark.parametrize(
+    "build,states,forced,witness",
+    [
+        (lambda: crown_graph(5), 4068, 1296, None),
+        (lambda: complete_multipartite([3, 3, 3]), 14514, 1584, None),
+        (lambda: rook_graph(3), 378, 192, None),
+        (lambda: cycle_graph(9), 82, 14, None),
+        (lambda: rook_graph(4), 31328, 0, ((0, 1, 6, 7), (0, 1, 6, 10), 2)),
+    ],
+    ids=["crown5", "K333", "rook3", "C9", "rook4"],
+)
+def test_search_statistics_are_pinned(build, states, forced, witness):
+    # canonical labels; a weaker forced-extension cut walks more states
+    # (the full walk: 10,524, 16,098, 2,050, 574 and 31,328)
+    res = is_metrically_homogeneous(build())
+    assert (res.states, res.forced, res.witness) == (states, forced, witness)
+    assert res.homogeneous == (witness is None)
 
 
 def test_petersen_is_not_homogeneous():
@@ -467,7 +565,9 @@ def test_homogeneity_depth_certificates():
 
 def test_homogeneity_budget_and_cap():
     with pytest.raises(BudgetError):
-        is_metrically_homogeneous(icosahedron(), max_states=1000)
+        is_metrically_homogeneous(complete_multipartite([3, 3, 3]), max_states=1000)
+    # the forced-extension cut proves the icosahedron inside 1,000 states
+    assert is_metrically_homogeneous(icosahedron(), max_states=1000).homogeneous
     with pytest.raises(BudgetError):
         is_metrically_homogeneous(johnson_graph(7, 2), cap=20)  # 21 > cap
 
