@@ -1,52 +1,85 @@
-"""The homogeneity search: one numpy kernel, rooted at the map 0↦0.
+"""The homogeneity search: greedy automorphism walks over a tree of prefixes.
 
 A finite metric space is homogeneous exactly when every partial
 isometry extends by one point, for then any partial isometry grows
-point by point into a total one.  The kernel walks partial isometries
-level by level: a state is a pair of rows (doms, imgs) with doms
-strictly increasing, and children extend doms only past its maximum,
-so each domain-set/map pair has a unique generation path and no
-visited-set is needed.  The for-all check at a state still ranges over
-every vertex outside the domain.
+point by point into a total one, an automorphism.  The search decides
+this orbit by orbit, with individualization as in McKay & Piperno,
+*Practical graph isomorphism II* (2014), but with no stabilizer chain:
+greedy walks build the automorphisms it needs.
 
-Normalization.  A partial isometry f extends by one point exactly when
-γ∘f∘β does, for automorphisms β and γ, and a homogeneous graph is
-vertex-transitive.  So the search first builds a transversal: for each
-v in 1..n-1 it extends {0↦v} greedily over the vertices 1, 2, ... in
-turn, taking the first image that fits.  Either every walk ends in an
-automorphism t_v with t_v(0) = v, or one gets stuck, and a stuck map is
-a partial isometry that misses a vertex: a witness in the graph's own
-labels.  Given the transversal, a partial isometry f whose least domain
-vertex a maps to b becomes t_b⁻¹∘f∘t_a, of the same size and holding
-0↦0.  Vertex 0 is the least, so the level walk from the single root
-{0↦0} meets that map exactly once, and the walk from that root alone
-decides the whole space.
+The tree.  A node is a pair (P, A): P is a tuple of individualized
+vertices, A a set of allowed vertices.  The vertices of A are grouped
+by their distances to P; each group is a class, and the classes are
+ordered by their least member.  The root is P = (), A = every vertex,
+one class.  For each class T with two or more members and least
+member r, a walk starts from P↦P, r↦x for every other member x of T.
+A walk extends its map over the remaining vertices in increasing
+order, each time taking the first image that keeps every distance to
+the domain; the walks of a node run in lockstep, one comparison per
+step.  A walk that finds no image is stuck.  When every walk completes,
+each ends in an automorphism that fixes P and sends r to x, so each
+class is one orbit of the automorphisms that fix P, and each class T
+with two or more members gets the child (P+(r,), the members of T and
+of every later class, minus r).  Children are searched depth
+first, in class order; singleton classes get no node.  The root's walks
+send 0 to every other vertex: the greedy transversal whose size the
+search reports as automorphisms.
 
-All roots.  With a depth bound d the transversal can get stuck on a map
-of more than d points, which says nothing about maps of at most d
-points.  Then the kernel runs from all n² one-point maps instead, the
-exhaustive walk, and the depth certificate keeps its meaning.  At full
-depth a stuck map has at most n-1 points and is always a witness, so
-the all-roots walk never runs there.
+Why it is exact.  In a homogeneous space every partial isometry
+extends by one point, so no walk gets stuck, and a stuck walk's map is
+a witness in the graph's own labels.  Conversely, let every walk
+complete.  An automorphism that fixes P keeps distances to P, so it
+keeps each class as a set and fixes the vertex of every singleton
+class; A is made of whole classes of the parent node less the parent's
+new point, so by induction it keeps A too.  Call a partial isometry f
+reduced at a node when f fixes P and every domain point outside A,
+every automorphism that fixes P fixes those points too, and f maps the
+domain points in A into A.  Every f is reduced at the root.  A domain
+point in a singleton class is fixed by f, which keeps distances to P.
+If f moves a point, take the first class T with two or more members
+that holds a domain point a, with least member r: f(a) lies in T as
+well, and walks give automorphisms g, h that fix P with g(r) = a and
+h(r) = f(a) (the identity where a or f(a) is r).  Then h⁻¹∘f∘g is
+reduced at the child of T, whose prefix holds one more point.  Domain
+and image follow the same path to the same prefix, so after at most
+as many steps as f has points some conjugate of f fixes its whole
+domain, and f is the restriction of an automorphism.  The class order
+makes each domain set reduce along one path rather than along each
+ordering of it: without it, K12,12 takes 1,352,078 nodes and
+11,618,932 states instead of 133 nodes and 11,497 states.
 
-Forced extensions.  When every vertex has exactly one candidate image
-under a partial isometry f, its domain resolves the graph (a metric
-basis: Slater 1975; Harary & Melter 1976) and f has at most one total
-extension, the map F sending each vertex to its candidate.  If F is a
-bijection and an isometry it is an automorphism, and every descendant
-of f in the walk is a restriction of F: each added point can only take
-its one candidate, which is its image under F.  A restriction of an
-automorphism extends by one point, so the subtree below f holds no
-stuck map and the kernel builds no children for f, in the single-root
-walk and the all-roots walk alike.  The cut removes only stuck-free
-subtrees, so verdicts and witnesses are those of the full walk; only
-the state count falls.  Which prefix of a domain resolves first
-depends on the vertex labels, so unlike the full walk's count the cut
-walk's count changes when a graph is relabelled.
+Depth bound.  With a bound d, a tree that completes still proves the
+space homogeneous at every depth, and a stuck walk of at most d points
+answers the bounded question.  A stuck walk of more than d points says
+nothing about maps of at most d points, so the search hands over to
+the fallback walk: every partial isometry of up to d points, grown
+from all n² one-point maps.
 
-Both steps count their states (maps built) against one state budget,
-and the kernel checks the budget while it builds a level, so a level
-past the budget is never held in memory.
+The fallback walk.  The level kernel holds partial isometries as
+pairs of rows (doms, imgs) with doms strictly increasing; children
+extend doms only past its maximum, so each domain-set/map pair has a
+unique generation path and no visited-set is needed.  The for-all
+check at a state ranges over every vertex outside the domain.
+
+Forced extensions (fallback walk only).  When every vertex has exactly
+one candidate image under a partial isometry f, its domain resolves
+the graph (a metric basis: Slater 1975; Harary & Melter 1976) and f
+has at most one total extension, the map F sending each vertex to its
+candidate.  If F is a bijection and an isometry it is an automorphism,
+and every descendant of f in the walk is a restriction of F: each
+added point can only take its one candidate, which is its image under
+F.  A restriction of an automorphism extends by one point, so the
+subtree below f holds no stuck map and the kernel builds no children
+for f.  The cut removes only stuck-free subtrees, so verdicts and
+witnesses are those of the full walk; only the state count falls.
+Which prefix of a domain resolves first depends on the vertex labels,
+so the cut walk's count changes when a graph is relabelled.
+
+States.  The search counts one state for the result, one per walk
+step and one per map the fallback builds, all against one budget.  A
+node's walks are checked against it before they start, and the kernel
+checks it while it builds a level, so a level past the budget is never
+held in memory.
 """
 
 from __future__ import annotations
@@ -72,31 +105,82 @@ def _budget_error(max_states: int, n: int) -> BudgetError:
     )
 
 
-def _transversal(dist, states, max_states):
-    """Greedy automorphisms t_v with t_v(0) = v, all n-1 walks in lockstep.
+def _walks(dist, prefix, roots, targets, states, max_states):
+    """Greedy walks from prefix↦prefix, roots[w]↦targets[w], in lockstep.
 
-    Walk r maps 0 to r+1; step a gives vertex a its first fitting image
-    in every walk, and each walk's step is one state.  Returns
-    (states, None) when every walk completes, else
+    Walk w extends its map over the vertices outside prefix and
+    roots[w] in increasing order, giving each the first image that
+    keeps its distances to the domain.  Each walk's step is one state,
+    and the budget is checked for all the steps before the first.
+    Returns (states, None) when every walk completes, else
     (states, (doms, imgs, stuck)) for the first walk stuck at the first
     step where any is.
     """
     n = dist.shape[0]
-    imgs = np.arange(1, n)[:, None]
-    for a in range(1, n):
-        states += n - 1
-        if states > max_states:
-            raise _budget_error(max_states, n)
-        # fits[r, b]: b keeps the distances from a to 0..a-1 in walk r
-        fits = np.ones((n - 1, n), dtype=bool)
-        for i in range(a):
-            fits &= dist[imgs[:, i]] == dist[a, i]
+    w, k = roots.size, len(prefix)
+    if states + w * (n - k - 1) > max_states:
+        raise _budget_error(max_states, n)
+    free = np.delete(np.arange(n), prefix)
+    # row w: the vertices outside prefix and roots[w], in increasing order
+    rest = free[None, :].repeat(w, axis=0)[free[None, :] != roots[:, None]]
+    fixed = np.array(prefix, dtype=np.int64)[None, :].repeat(w, axis=0)
+    doms = np.concatenate([fixed, roots[:, None], rest.reshape(w, -1)], axis=1)
+    imgs = np.concatenate([fixed, targets[:, None], np.zeros((w, n - k - 1), np.int64)], axis=1)
+    for j in range(k + 1, n):
+        a = doms[:, j]
+        states += w
+        # fits[w, b]: b keeps the distances from a to walk w's domain
+        fits = (dist[imgs[:, :j]] == dist[a[:, None], doms[:, :j]][:, :, None]).all(axis=1)
         found = fits.any(axis=1)
         if not found.all():
-            r = int(np.argmin(found))
-            return states, (tuple(range(a)), tuple(int(x) for x in imgs[r]), a)
-        imgs = np.concatenate([imgs, fits.argmax(axis=1)[:, None]], axis=1)
+            s = int(np.argmin(found))
+            witness = tuple(int(v) for v in doms[s, :j]), tuple(int(v) for v in imgs[s, :j])
+            return states, (*witness, int(a[s]))
+        imgs[:, j] = fits.argmax(axis=1)
     return states, None
+
+
+def _prefix_tree(dist, states, max_states):
+    """Run every node's walks, depth first; stop at the first stuck walk.
+
+    A node is (prefix, allowed, cls): allowed is sorted and cls[i] is
+    the class of allowed[i], numbered by least member.  Returns
+    (states, automorphisms, witness): automorphisms is n-1 when the
+    root's walks complete and 0 when one of them is stuck, and witness
+    is None when every walk completes.
+    """
+    n = dist.shape[0]
+    stack = [((), np.arange(n), np.zeros(n, np.int64))]
+    while stack:
+        prefix, allowed, cls = stack.pop()
+        sizes = np.bincount(cls)
+        # classes are numbered in order of least member, so a vertex is
+        # its class's least member when its class passes every earlier one
+        firsts = np.flatnonzero(cls > np.maximum.accumulate(np.concatenate([[-1], cls[:-1]])))
+        roots = allowed[firsts]
+        # every non-least member of a class with two or more members
+        others = np.ones(allowed.size, dtype=bool)
+        others[firsts] = False
+        others &= sizes[cls] > 1
+        if not others.any():
+            continue
+        states, witness = _walks(
+            dist, prefix, roots[cls[others]], allowed[others], states, max_states
+        )
+        if witness is not None:
+            return states, (n - 1 if prefix else 0), witness
+        children = []
+        for c in np.flatnonzero(sizes > 1):
+            r = roots[c]
+            keep = (cls >= c) & (allowed != r)
+            sub = allowed[keep]
+            # refine the kept classes by distance to r, renumbered by least member
+            ids = {}
+            key = (cls[keep] * n + dist[sub, r]).tolist()
+            sub_cls = np.array([ids.setdefault(k, len(ids)) for k in key], dtype=np.int64)
+            children.append((prefix + (int(r),), sub, sub_cls))
+        stack.extend(reversed(children))
+    return states, n - 1, None
 
 
 def _forced_automorphisms(dist, doms, match):
@@ -220,9 +304,9 @@ def homogeneity_search(
 
     Returns (ok, states, automorphisms, forced, witness): witness is
     None on success and (doms, imgs, stuck_vertex) on failure;
-    automorphisms is the number of transversal automorphisms built, n-1
-    when the transversal completes and 0 when it got stuck or, at depth
-    0, did not run; forced is the number of rows whose subtrees the
+    automorphisms is the number of root walks that completed, n-1 when
+    all of them did and 0 when one got stuck or, at depth 0, none ran;
+    forced is the number of rows whose subtrees the fallback walk's
     forced-extension cut skipped.  Raises BudgetError when the state
     budget runs out before an answer is reached.
     """
@@ -232,14 +316,11 @@ def homogeneity_search(
     states = 1
     if depth < 1:
         return True, states, 0, 0, None
-    states, stuck_map = _transversal(d, states, max_states)
+    states, automorphisms, stuck_map = _prefix_tree(d, states, max_states)
     if stuck_map is None:
-        automorphisms = n - 1
-        roots = np.zeros((1, 1), np.int64), np.zeros((1, 1), np.int64)
-    elif len(stuck_map[0]) <= depth:
-        return False, states, 0, 0, stuck_map
-    else:
-        automorphisms = 0
-        roots = np.repeat(np.arange(n), n)[:, None], np.tile(np.arange(n), n)[:, None]
+        return True, states, automorphisms, 0, None
+    if len(stuck_map[0]) <= depth:
+        return False, states, automorphisms, 0, stuck_map
+    roots = np.repeat(np.arange(n), n)[:, None], np.tile(np.arange(n), n)[:, None]
     states, forced, witness = _extension_levels(d, *roots, depth, states, max_states)
     return witness is None, states, automorphisms, forced, witness

@@ -4,9 +4,9 @@ Everything here works on concrete vertex sets, complementing the
 catalog modules that work on distance alphabets alone.  A graph is
 held with its full all-pairs path metric; twists act on that metric
 pointwise and the reports say whether the image is again a graph-like
-metric.  The homogeneity check runs the one-point extension search
-over partial isometries, rooted at 0↦0 once a transversal of
-automorphisms is found.
+metric.  The homogeneity check proves or refutes one-point extension
+one stabilizer orbit at a time, with greedy automorphism walks over a
+tree of individualized vertices.
 """
 
 from __future__ import annotations
@@ -283,12 +283,13 @@ class HomogeneityResult:
     complete is False when the search was depth-bounded, in which case
     homogeneous=True only certifies extension up to that many points.
     witness on failure is (domain vertices, image vertices, vertex with
-    no valid image).  automorphisms counts the transversal
-    automorphisms found, one sending 0 to each other vertex: n-1 when
-    the transversal completes, which every complete pass needs, and 0
-    when it got stuck or did not run (depth 0).  forced counts the
-    partial isometries whose subtrees the search skipped because their
-    only total extension is an automorphism (see _backend).
+    no valid image).  automorphisms counts the root walks that ended in
+    an automorphism, one sending 0 to each other vertex: n-1 when they
+    all complete, which every complete pass needs, and 0 when one got
+    stuck or none ran (depth 0).  forced counts the partial isometries
+    whose subtrees the depth-bounded fallback walk skipped because their
+    only total extension is an automorphism; it is 0 when the prefix
+    tree alone decides (see _backend).
     """
 
     homogeneous: bool
@@ -332,14 +333,19 @@ def is_metrically_homogeneous(
 ) -> HomogeneityResult:
     """Decide whether every partial isometry extends to a total one.
 
-    Once it has automorphisms sending 0 to every vertex, the search
-    walks only the partial isometries that hold 0↦0, and none below a
-    map whose one total extension is an automorphism (see _backend).
-    It is exponential in the worst case, so graphs above the
-    vertex cap are refused and a state budget bounds the walk; both
-    raise BudgetError.  max_depth bounds the partial isometry size
-    instead of proving full homogeneity (the result then says
-    complete=False).
+    The search individualizes vertices one at a time.  At each prefix P
+    it groups the allowed vertices by their distances to P and, for
+    each group, greedily walks from the identity on P with the group's
+    least member sent to each other member.  A walk that gets stuck
+    holds a partial isometry that does not extend: the witness.  If no
+    walk gets stuck, every group is one orbit of the automorphisms
+    fixing P, and every partial isometry extends to an automorphism
+    (see _backend for the proof).  It is exponential in the worst case,
+    so graphs above the vertex cap are refused and a state budget
+    bounds the search; both raise BudgetError.  max_depth bounds the
+    partial isometry size instead of proving full homogeneity (the
+    result then says complete=False): a witness of more points hands
+    the question to a walk over every map of at most max_depth points.
     """
     if not isinstance(g, FiniteMetricGraph):
         raise InvalidInputError(f"expected a FiniteMetricGraph, got {type(g).__name__}")
@@ -697,7 +703,7 @@ def _locally_base(cover: FiniteMetricGraph, base: FiniteMetricGraph) -> bool:
 
 def find_antipodal_cover(
     g: FiniteMetricGraph,
-    homogeneity_depth: int | None = 3,
+    homogeneity_depth: int | None = None,
     max_states: int = DEFAULT_STATE_BUDGET,
 ) -> CoverSearchReport:
     """Search known constructions for an antipodal diameter-3 cover of g.
@@ -705,12 +711,10 @@ def find_antipodal_cover(
     A candidate wins when it is connected of diameter 3, pairs off
     antipodally with the reflected-distance law, induces a copy of the
     base graph on every vertex neighborhood, and passes the
-    homogeneity search.  The default homogeneity depth bounds that
-    search to 3-point partial maps, a certificate rather than a proof;
-    pass None to demand the complete search.  The depth stays bounded
-    because the full search on J(6,3), the rook:3 cover, still walks
-    173,218 states with the forced-extension cut and takes about 70
-    times as long as the bounded one.
+    homogeneity search.  By default that search is complete, so a
+    winner is proved homogeneous (J(6,3), the rook:3 cover, takes 1,244
+    states).  A homogeneity_depth bounds the search to maps of that
+    many points, a certificate rather than a proof.
     """
     if not isinstance(g, FiniteMetricGraph):
         raise InvalidInputError(f"expected a FiniteMetricGraph, got {type(g).__name__}")

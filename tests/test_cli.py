@@ -278,7 +278,7 @@ def test_finite_icosahedron_summary(capsys):
         "diameter": 3,
         "edges": 30,
         "graph": "icosahedron",
-        "homogeneity_states": 774,
+        "homogeneity_states": 256,
         "homogeneous": True,
         "n": 12,
     }

@@ -51,7 +51,7 @@ from mhg_twist import (
     to_edge_list,
 )
 from mhg_twist import _backend, finite_graphs
-from mhg_twist._backend import _CHUNK
+from mhg_twist._backend import _CHUNK, DEFAULT_STATE_BUDGET
 
 PETERSEN_EDGES = "\n".join(
     "%d %d" % e
@@ -417,6 +417,14 @@ FORCED_CASES = [
 ] + [(name, lambda b=build: relabel(b(), 7), None) for name, build in WORKLOAD_GRAPHS]
 
 
+def zero_root_walk(g, depth, max_states):
+    """The level kernel from the one root 0->0 (the prefix tree decides
+    these graphs without it, so the kernel is driven directly)."""
+    dist = np.ascontiguousarray(g.dist, dtype=np.int64)
+    root = np.zeros((1, 1), dtype=np.int64)
+    return _backend._extension_levels(dist, root, root, depth, 1, max_states)
+
+
 @pytest.mark.parametrize(
     "name,build,depth", FORCED_CASES,
     ids=[f"{c[0]}-d{c[2]}" if c[2] else f"{c[0]}-relabelled" for c in FORCED_CASES],
@@ -443,9 +451,14 @@ def test_forced_rows_match_the_oracle(name, build, depth, monkeypatch):
         return np.array(sorted(cut), dtype=np.int64)
 
     monkeypatch.setattr(_backend, "_forced_automorphisms", spy)
-    res = is_metrically_homogeneous(g, max_depth=depth)
-    assert res.forced == seen["cut"]
-    if depth is None and res.homogeneous:
+    if depth is None:
+        _, forced, witness = zero_root_walk(g, g.n - 1, DEFAULT_STATE_BUDGET)
+        homogeneous = witness is None
+    else:
+        res = is_metrically_homogeneous(g, max_depth=depth)
+        forced, homogeneous = res.forced, res.homogeneous
+    assert forced == seen["cut"]
+    if depth is None and homogeneous:
         assert seen["rows"] > 0
 
 
@@ -475,20 +488,20 @@ def test_forced_rows_are_cut_only_at_automorphisms(edges, dom, img, cut):
 
 
 def test_homogeneity_budget_bounds_memory():
-    # J(6,3) at full depth is far over this budget.  Maps of up to 4
-    # points fit in it and 5-point maps do not, so no row held has more
-    # than 5 points; the level that would cross the budget is never
-    # built, and the peak stays within the budget's rows (two int64
-    # arrays) plus one block's scratch.
+    # The level kernel from 0->0 on J(6,3) at full depth is far over this
+    # budget.  Maps of up to 4 points fit in it and 5-point maps do not,
+    # so no row held has more than 5 points; the level that would cross
+    # the budget is never built, and the peak stays within the budget's
+    # rows (two int64 arrays) plus one block's scratch.
     g = johnson_graph(6, 3)
     max_states = 100_000
-    assert is_metrically_homogeneous(g, max_depth=4).states < max_states
+    assert zero_root_walk(g, 4, max_states)[0] < max_states
     bound = max_states * 5 * 16 + 4 * _CHUNK * g.n * g.n
     tracemalloc.start()
     t0 = time.perf_counter()
     try:
         with pytest.raises(BudgetError):
-            is_metrically_homogeneous(g, max_states=max_states)
+            zero_root_walk(g, g.n - 1, max_states)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -506,30 +519,31 @@ def test_icosahedron_is_homogeneous():
     res = is_metrically_homogeneous(icosahedron())
     assert res.homogeneous
     assert res.complete
-    # pinned search statistic: 1 + 11 * 11 transversal steps + 652
-    # partial isometries holding 0->0; the walk without the
-    # forced-extension cut built 20,302 of them
-    assert res.states == 774
-    assert res.forced == 500
-    assert json.loads(res.to_json())["forced"] == 500
+    # pinned search statistic: 1 + 11 walks of 11 steps at the root, then
+    # 2 * 4 walks of 10 steps below it, 4 * 2 of 9 below a neighbour of
+    # 0 and 2 * 2 of 9 below a vertex at distance 2; the level kernel
+    # from 0->0 (with its forced-extension cut) built 774 states
+    assert res.states == 256
+    assert res.forced == 0
+    assert json.loads(res.to_json())["forced"] == 0
 
 
 @pytest.mark.parametrize(
-    "build,states,forced,witness",
+    "build,states,witness",
     [
-        (lambda: crown_graph(5), 4068, 1296, None),
-        (lambda: complete_multipartite([3, 3, 3]), 14514, 1584, None),
-        (lambda: rook_graph(3), 378, 192, None),
-        (lambda: cycle_graph(9), 82, 14, None),
-        (lambda: rook_graph(4), 31328, 0, ((0, 1, 6, 7), (0, 1, 6, 10), 2)),
+        (lambda: crown_graph(5), 196, None),
+        (lambda: complete_multipartite([3, 3, 3]), 204, None),
+        (lambda: rook_graph(3), 131, None),
+        (lambda: cycle_graph(9), 93, None),
+        (lambda: rook_graph(4), 905, ((0, 1, 4, 10, 11), (0, 1, 4, 10, 14), 2)),
     ],
     ids=["crown5", "K333", "rook3", "C9", "rook4"],
 )
-def test_search_statistics_are_pinned(build, states, forced, witness):
-    # canonical labels; a weaker forced-extension cut walks more states
-    # (the full walk: 10,524, 16,098, 2,050, 574 and 31,328)
+def test_search_statistics_are_pinned(build, states, witness):
+    # canonical labels; the level kernel from 0->0 built 4,068, 14,514,
+    # 378, 82 and 31,328 states on these graphs
     res = is_metrically_homogeneous(build())
-    assert (res.states, res.forced, res.witness) == (states, forced, witness)
+    assert (res.states, res.forced, res.witness) == (states, 0, witness)
     assert res.homogeneous == (witness is None)
 
 
@@ -553,6 +567,147 @@ def test_rook_4_is_not_homogeneous():
     validate_homogeneity_witness(rook_graph(4), res.witness)
 
 
+def from_pairs(n, pairs):
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u, v in pairs:
+        adj[u, v] = adj[v, u] = 1
+    return FiniteMetricGraph(adj)
+
+
+def circulant(n, steps):
+    return from_pairs(n, [(i, (i + s) % n) for i in range(n) for s in steps])
+
+
+def shrikhande():
+    # Cayley graph of Z4 x Z4 on +-(1,0), +-(0,1), +-(1,1)
+    steps = [(1, 0), (0, 1), (1, 1)]
+    return from_pairs(16, [(4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)
+                           for a in range(4) for b in range(4) for x, y in steps])
+
+
+def clebsch():
+    # the folded 5-cube: Z2^4, flipping one coordinate or all four
+    return from_pairs(16, [(u, u ^ m) for u in range(16) for m in (1, 2, 4, 8, 15)])
+
+
+def dodecahedron():
+    # the generalized Petersen graph GP(10, 2)
+    return from_pairs(20, [(i, (i + 1) % 10) for i in range(10)]
+                      + [(i, 10 + i) for i in range(10)]
+                      + [(10 + i, 10 + (i + 2) % 10) for i in range(10)])
+
+
+@pytest.mark.parametrize(
+    "build,states",
+    [
+        (lambda: crown_graph(8), 1129),
+        (lambda: crown_graph(10), 2666),
+        (lambda: crown_graph(12), 5425),
+        (lambda: johnson_graph(6, 3), 1244),
+        (lambda: complete_multipartite([4, 4, 4]), 751),
+        # without the class order this tree has over a million nodes
+        (lambda: complete_multipartite([12, 12]), 11497),
+    ],
+    ids=["crown8", "crown10", "crown12", "J63", "K444", "K12,12"],
+)
+def test_prefix_tree_proofs_are_pinned(build, states):
+    g = build()
+    res = is_metrically_homogeneous(g)
+    assert res.homogeneous and res.complete
+    assert (res.states, res.automorphisms, res.forced) == (states, g.n - 1, 0)
+
+
+@pytest.mark.parametrize(
+    "build,states,witness",
+    [
+        (shrikhande, 46, ((0, 1, 2), (4, 0, 1), 3)),
+        (clebsch, 932, ((0, 1, 6, 10, 12), (0, 1, 6, 10, 13), 2)),
+        # Paley(13): the squares mod 13 are +-1, +-3, +-4
+        (lambda: circulant(13, [1, 3, 4]), 49, ((0, 1, 2, 3), (1, 0, 3, 2), 4)),
+        (dodecahedron, 752, ((0, 2, 13), (0, 2, 14), 1)),
+    ],
+    ids=["shrikhande", "clebsch", "paley13", "dodecahedron"],
+)
+def test_prefix_tree_refutations_are_pinned(build, states, witness):
+    g = build()
+    res = is_metrically_homogeneous(g)
+    assert not res.homogeneous
+    assert (res.states, res.witness) == (states, witness)
+    validate_homogeneity_witness(g, res.witness)
+
+
+def all_roots_walk(g, depth, max_states):
+    """The level kernel from all n*n one-point maps: every partial
+    isometry of up to depth points, the exhaustive reference."""
+    n = g.n
+    dist = np.ascontiguousarray(g.dist, dtype=np.int64)
+    doms, imgs = np.repeat(np.arange(n), n)[:, None], np.tile(np.arange(n), n)[:, None]
+    return _backend._extension_levels(dist, doms, imgs, depth, 1, max_states)
+
+
+def random_connected_graphs(count, seed):
+    rng = np.random.default_rng(seed)
+    graphs = []
+    while len(graphs) < count:
+        n = int(rng.integers(3, 10))
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.2, 0.8), 1)
+        try:
+            graphs.append(FiniteMetricGraph((upper | upper.T).astype(np.int64)))
+        except DisconnectedGraphError:
+            pass
+    return graphs
+
+
+def relabelled_circulants(seed):
+    graphs = []
+    for n in range(5, 13):
+        for k in range(1, n // 2 + 1):
+            for steps in itertools.combinations(range(1, n // 2 + 1), k):
+                try:
+                    graphs.append(relabel(circulant(n, steps), seed + n))
+                except DisconnectedGraphError:
+                    pass
+    return graphs
+
+
+#: states the exhaustive reference may walk on one graph
+REFERENCE_STATES = 50_000
+
+
+@pytest.mark.parametrize(
+    "family,undecided,oracle_n",
+    [(lambda: random_connected_graphs(60, 2024), 0, 6),
+     (lambda: relabelled_circulants(31), 15, 5)],
+    ids=["random", "circulants"],
+)
+def test_prefix_tree_matches_the_exhaustive_walk(family, undecided, oracle_n):
+    # The reference walks every partial isometry from every one-point
+    # map.  On the dense homogeneous circulants (complete, complete
+    # multipartite and the like) it passes its budget; there the tree's
+    # proof is checked against the reference on maps of up to 2 points.
+    # The brute-force oracle runs up to oracle_n vertices: on the
+    # 6-vertex homogeneous circulants it takes 0.7 to 8 s each.
+    graphs = family()
+    over = 0
+    for g in graphs:
+        res = is_metrically_homogeneous(g)
+        assert res.complete
+        if not res.homogeneous:
+            validate_homogeneity_witness(g, res.witness)
+        if g.n <= oracle_n:
+            dist = [list(map(int, row)) for row in g.dist]
+            assert oracles.homogeneous(dist)[0] == res.homogeneous
+        try:
+            _, _, witness = all_roots_walk(g, g.n - 1, REFERENCE_STATES)
+        except BudgetError:
+            over += 1
+            assert res.homogeneous and all_roots_walk(g, 2, REFERENCE_STATES)[2] is None
+            continue
+        assert res.homogeneous == (witness is None), g.edges()
+    assert over == undecided
+    assert len(graphs) - over >= 60
+
+
 def test_homogeneity_depth_certificates():
     j = johnson_graph(6, 3)
     res = is_metrically_homogeneous(j, max_depth=3)
@@ -564,9 +719,9 @@ def test_homogeneity_depth_certificates():
 
 
 def test_homogeneity_budget_and_cap():
+    # crown:10 takes 2,666 states; the icosahedron takes 256
     with pytest.raises(BudgetError):
-        is_metrically_homogeneous(complete_multipartite([3, 3, 3]), max_states=1000)
-    # the forced-extension cut proves the icosahedron inside 1,000 states
+        is_metrically_homogeneous(crown_graph(10), max_states=1000)
     assert is_metrically_homogeneous(icosahedron(), max_states=1000).homogeneous
     with pytest.raises(BudgetError):
         is_metrically_homogeneous(johnson_graph(7, 2), cap=20)  # 21 > cap
