@@ -255,11 +255,15 @@ def derive_parameters(tset: TriangleSet) -> DerivationResult:
     """Scan a triple set for its numerical parameters and anomalies.
 
     The set must contain only metric triples.  Anomalies mark scans whose
-    results cannot come from any graph: perimeters at or above a derived
-    cap, odd perimeters with no (1,k,k) triple, antipodal caps whose
-    K-values do not sum to delta, caps out of step with the fiber
-    diameter, full-range fibers of diameter below 2 outside the one shape
-    that permits them, and fibers whose distance set skips 2.
+    results fall outside the generic catalog of the classification:
+    perimeters at or above a derived cap, odd perimeters with no (1,k,k)
+    triple, antipodal caps whose K-values do not sum to delta, caps out
+    of step with the fiber diameter, full-range fibers of diameter below
+    2 outside the one shape that permits them, and fibers whose distance
+    set skips 2.  An anomaly does not mean that no graph realizes the
+    set: the odd cycles C_{2δ+1} are homogeneous and flag both fiber
+    rules, and their twists are the cycle maps mu, not the catalog's
+    four.
     """
     if not isinstance(tset, TriangleSet):
         raise InvalidInputError(f"expected a TriangleSet, got {tset!r}")
@@ -298,9 +302,11 @@ def derive_parameters(tset: TriangleSet) -> DerivationResult:
         and not (k1 == 1 and {c0, c1} == {2 * d + 2, 2 * d + 3})
     ):
         anomalies.append(ANOMALY_FIBER_STRUCTURE)
-    # Vertices at full distance d must be linked through hops of distance
-    # 2, so a nonempty fiber distance set has to contain 2.  A distance-1
-    # clique fiber (K1 = 1) is the lone shape exempt from the hop rule.
+    # In the generic catalog, vertices at full distance d are linked
+    # through hops of distance 2, so a nonempty fiber distance set has to
+    # contain 2.  A distance-1 clique fiber (K1 = 1) is the lone catalog
+    # shape exempt from the hop rule.  Odd cycles sit outside the catalog:
+    # in C_{2d+1} the two vertices at distance d from a vertex are adjacent.
     if k1 != 1 and fiber and 2 not in fiber:
         anomalies.append(ANOMALY_FIBER_CONNECTIVITY)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import lru_cache
 from math import gcd
 
 from .errors import (
@@ -204,8 +205,19 @@ NAMED_TWISTS = ("rho", "rho-inv", "tau0", "tau1")
 
 
 def named_twists(delta: int) -> list[tuple[str, Twist]]:
-    """The four closed-form twists for one diameter, in display order."""
-    return list(
+    """The four closed-form twists for one diameter, in display order.
+
+    Built once per diameter; each call returns a new list of the shared
+    immutable twists.
+    """
+    _check_delta(delta, low=3)
+    return list(_named_twists(delta))
+
+
+@lru_cache(maxsize=None)
+def _named_twists(delta: int) -> tuple[tuple[str, Twist], ...]:
+    # keyed by a delta already checked, so at most MAX_DELTA - 2 entries
+    return tuple(
         zip(NAMED_TWISTS, (rho(delta), rho_inverse(delta), tau(delta, 0), tau(delta, 1)))
     )
 

@@ -7,7 +7,6 @@ import pickle
 import time
 import tracemalloc
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -71,12 +70,18 @@ LAW_BREAKER_EDGES = [
 ]
 
 
-def to_nx(g):
+def to_nx(nx, g):
     return nx.from_numpy_array(np.asarray(g.adjacency))
 
 
 def petersen():
     return from_edge_list(PETERSEN_EDGES)
+
+
+def cube():
+    return from_edge_list(
+        "0 1\n0 2\n0 4\n1 3\n1 5\n2 3\n2 6\n3 7\n4 5\n4 6\n5 7\n6 7\n"
+    )
 
 
 def law_breaker():
@@ -235,8 +240,9 @@ def test_graph_copies_and_pickles(clone):
     ids=["C9", "crown5", "K312", "rook4", "ico", "J63", "petersen", "lawbreaker"],
 )
 def test_metric_agrees_with_networkx(build):
+    nx = pytest.importorskip("networkx")
     g = build()
-    want = dict(nx.all_pairs_shortest_path_length(to_nx(g)))
+    want = dict(nx.all_pairs_shortest_path_length(to_nx(nx, g)))
     for u in range(g.n):
         for v in range(g.n):
             assert g.dist[u, v] == want[u][v]
@@ -253,11 +259,7 @@ def test_metric_agrees_with_plain_bfs_oracle():
 
 
 def test_crown_4_is_the_3_cube():
-    q3 = from_edge_list(
-        "0 1\n0 2\n0 4\n1 3\n1 5\n2 3\n2 6\n3 7\n4 5\n4 6\n5 7\n6 7\n"
-    )
-    assert is_isomorphic(crown_graph(4), q3)
-    assert nx.is_isomorphic(to_nx(crown_graph(4)), to_nx(q3))
+    assert is_isomorphic(crown_graph(4), cube())
 
 
 def test_is_isomorphic_negative_cases():
@@ -267,15 +269,16 @@ def test_is_isomorphic_negative_cases():
 
 
 def test_is_isomorphic_matches_networkx_on_mixed_pairs():
+    nx = pytest.importorskip("networkx")
     pool = [
         cycle_graph(6), crown_graph(3), complete_multipartite([2, 2, 2]),
         complete_multipartite([3, 3]), petersen(),
-        johnson_graph(5, 2),
+        johnson_graph(5, 2), crown_graph(4), cube(),
     ]
     for a in pool:
         for b in pool:
             got = is_isomorphic(a, b)
-            want = nx.is_isomorphic(to_nx(a), to_nx(b))
+            want = nx.is_isomorphic(to_nx(nx, a), to_nx(nx, b))
             assert got == want
 
 
@@ -883,6 +886,78 @@ def test_random_graph_reports_match_plain_loop_oracle():
         assert {flags[i] for flags in verdicts} == {True, False}
 
 
+def twists_sending_to_one(delta, j, seed, count):
+    """count seeded twists of 1..delta with σ(j) = 1, the rest shuffled."""
+    rng = np.random.default_rng(seed)
+    twists = []
+    for _ in range(count):
+        images = [int(x) + 2 for x in rng.permutation(delta - 1)]
+        images.insert(j - 1, 1)
+        twists.append(Twist(images))
+    return twists
+
+
+def test_unit_connectivity_memo_is_exact():
+    # C12's distance-j graph is connected exactly when gcd(j, 12) = 1, so
+    # j = 2, 3, 4, 6 leave it split.  Twists sharing σ⁻¹(1) share a memo
+    # entry; the first two share σ(1) = 2 but not σ⁻¹(1), and must not.
+    twists = [Twist((2, 1, 3, 4, 5, 6)), Twist((2, 3, 4, 5, 1, 6))]
+    for j in range(1, 7):
+        twists += twists_sending_to_one(6, j, j, 4)
+    g = cycle_graph(12)
+    for order in (twists, twists[::-1]):
+        fresh = cycle_graph(12)
+        for t in order:
+            assert_report_matches_oracle(g, t)
+            assert_report_matches_oracle(fresh, t)
+    want = {1: True, 2: False, 3: False, 4: False, 5: True, 6: False}
+    assert g._class_connected == want
+    for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert copied._class_connected == {}
+        for t in twists[::-1]:
+            assert_report_matches_oracle(copied, t)
+        assert copied._class_connected == want
+    with pytest.raises(AttributeError):
+        g._class_connected = {}
+
+
+def assert_unit_connectivity_matches_rebuild(g, twist):
+    # FiniteMetricGraph's own all-pairs BFS decides the unit graph afresh
+    rep = apply_twist_metric(g, twist)
+    try:
+        FiniteMetricGraph(rep.matrix == 1)
+        built = True
+    except DisconnectedGraphError:
+        built = False
+    assert rep.unit_connected == built, twist.images
+    return rep.unit_connected
+
+
+@pytest.mark.parametrize("n", [*range(31, 65), 127])
+def test_cycle_unit_connectivity_past_the_oracle(n):
+    g = cycle_graph(n)
+    units = {mu(n, k) for k in range(1, n) if np.gcd(k, n) == 1}
+    for t in sorted(units, key=lambda t: t.images):
+        assert assert_unit_connectivity_matches_rebuild(g, t)
+    for t in random_twists(n // 2, n, 3):
+        assert_unit_connectivity_matches_rebuild(g, t)
+
+
+@pytest.mark.parametrize(
+    "build,connected",
+    [(lambda: crown_graph(12), (True, False, False)),
+     (lambda: johnson_graph(7, 3), (True, True, True)),
+     (lambda: rook_graph(5), (True, True))],
+    ids=["crown12", "J73", "rook5"],
+)
+def test_named_graph_unit_connectivity_past_the_oracle(build, connected):
+    # connected[j - 1]: whether the distance-j graph is connected
+    g = build()
+    for images in itertools.permutations(range(1, g.diameter + 1)):
+        got = assert_unit_connectivity_matches_rebuild(g, Twist(images))
+        assert got == connected[images.index(1)]
+
+
 def test_graph_triangle_set_is_cached_on_the_graph(monkeypatch):
     calls = []
     sweep = finite_graphs._triples_of_matrix
@@ -1044,6 +1119,18 @@ def test_homogeneous_graphs_derive_cleanly():
     # odd cycles past the pentagon are too thin to be rule sets
     res9 = derive_parameters(graph_triangle_set(cycle_graph(9)))
     assert not res9.is_clean
+
+
+@pytest.mark.parametrize("n", [7, 9, 11, 21])
+def test_odd_cycles_are_homogeneous_outside_the_generic_catalog(n):
+    # the fiber rules describe the generic catalog: in C_{2δ+1} the two
+    # vertices at distance δ from a vertex are adjacent, so its fiber
+    # skips 2, yet the prefix tree proves the cycle homogeneous
+    g = cycle_graph(n)
+    res = derive_parameters(graph_triangle_set(g))
+    assert res.anomalies == ("fiber-structure", "fiber-connectivity")
+    hom = is_metrically_homogeneous(g)
+    assert hom.homogeneous and hom.complete
 
 
 # ---------------------------------------------------------------------------
