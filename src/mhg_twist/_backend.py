@@ -48,6 +48,26 @@ makes each domain set reduce along one path rather than along each
 ordering of it: without it, K12,12 takes 1,352,078 nodes and
 11,618,932 states instead of 133 nodes and 11,497 states.
 
+Early finish.  Each walk keeps the candidates of every vertex it has
+still to place: the images that keep that vertex's distances to the
+map so far.  Before step j, when the node's w walks hold w·(n−j)
+candidates in all and the map F that sends each such vertex to its
+first candidate keeps every distance, the walks stop, and their n−j
+remaining steps each are counted as states.  The count is exact: if F
+keeps every distance, each vertex's image under F keeps its distances
+to the domain and is a candidate, so each vertex has exactly one.  The
+greedy walk would take just F: its next vertex has one candidate, its
+image under F, and as F is an isometry each later vertex's image under
+F keeps its distance to that one too and stays its only candidate.  So
+verdicts, states, automorphisms and witnesses are those of the walk
+that places every vertex.  A count that matches while F is no isometry
+(a vertex with no candidate and another with two, or a forced map that
+is no bijection) lets the walks step on.  One candidate per vertex
+means the domain resolves the graph, as in the forced extensions
+below.  A resolving set holds all twins but one of each twin class
+(twins: vertices at the same distance from every third), so on graphs
+with large twin classes the walks seldom finish early.
+
 Depth bound.  With a bound d, a tree that completes still proves the
 space homogeneous at every depth, and a stuck walk of at most d points
 answers the bounded question.  A stuck walk of more than d points says
@@ -61,16 +81,17 @@ extend doms only past its maximum, so each domain-set/map pair has a
 unique generation path and no visited-set is needed.  The for-all
 check at a state ranges over every vertex outside the domain.
 
-Forced extensions (fallback walk only).  When every vertex has exactly
-one candidate image under a partial isometry f, its domain resolves
-the graph (a metric basis: Slater 1975; Harary & Melter 1976) and f
-has at most one total extension, the map F sending each vertex to its
-candidate.  If F is a bijection and an isometry it is an automorphism,
-and every descendant of f in the walk is a restriction of F: each
-added point can only take its one candidate, which is its image under
-F.  A restriction of an automorphism extends by one point, so the
-subtree below f holds no stuck map and the kernel builds no children
-for f.  The cut removes only stuck-free subtrees, so verdicts and
+Forced extensions (fallback walk only; the prefix tree's walks finish
+on the same condition, see Early finish).  When every vertex has
+exactly one candidate image under a partial isometry f, its domain
+resolves the graph (a metric basis: Slater 1975; Harary & Melter
+1976) and f has at most one total extension, the map F sending each
+vertex to its candidate.  If F is a bijection and an isometry it is
+an automorphism, and every descendant of f in the walk is a
+restriction of F: each added point can only take its one candidate,
+which is its image under F.  A restriction of an automorphism
+extends by one point, so the subtree below f holds no stuck map and
+the kernel builds no children for f.  The cut removes only stuck-free subtrees, so verdicts and
 witnesses are those of the full walk; only the state count falls.
 Which prefix of a domain resolves first depends on the vertex labels,
 so the cut walk's count changes when a graph is relabelled.
@@ -112,6 +133,12 @@ def _walks(dist, prefix, roots, targets, states, max_states):
     roots[w] in increasing order, giving each the first image that
     keeps its distances to the domain.  Each walk's step is one state,
     and the budget is checked for all the steps before the first.
+    cand[p, w, b] says b keeps the distances from the p-th vertex that
+    walk w has still to place to its map so far: each step places the
+    first and narrows the rest with one comparison against the new
+    image.  When the candidates force every walk's remaining images
+    and those keep every distance (_resolved), the walks finish at once
+    and their remaining steps count as states (see Early finish).
     Returns (states, None) when every walk completes, else
     (states, (doms, imgs, stuck)) for the first walk stuck at the first
     step where any is.
@@ -126,18 +153,41 @@ def _walks(dist, prefix, roots, targets, states, max_states):
     fixed = np.array(prefix, dtype=np.int64)[None, :].repeat(w, axis=0)
     doms = np.concatenate([fixed, roots[:, None], rest.reshape(w, -1)], axis=1)
     imgs = np.concatenate([fixed, targets[:, None], np.zeros((w, n - k - 1), np.int64)], axis=1)
+    # want[i, p, w]: the distance between walk w's i-th and p-th vertices
+    want = dist[doms.T[:, None, :], doms.T[None, :, :]]
+    # at[x, e, b]: d(x, b) = e, so at[imgs[w, i], want[i, p, w]] holds
+    # the images that keep the p-th vertex's distance to the i-th
+    at = dist[:, None, :] == np.arange(dist.max() + 1)[None, :, None]
+    # every walk fixes the prefix, so b keeps the distances to it when
+    # it is at the same distances from it as the vertex
+    keys = dist[list(prefix)]
+    cand = (keys[:, :, None] == keys[:, None, :]).all(axis=0)[doms[:, k + 1 :].T]
+    cand &= at[targets, want[k, k + 1 :]]
     for j in range(k + 1, n):
-        a = doms[:, j]
+        if np.count_nonzero(cand) == w * (n - j) and _resolved(dist, imgs, want, cand, j):
+            return states + w * (n - j), None
         states += w
-        # fits[w, b]: b keeps the distances from a to walk w's domain
-        fits = (dist[imgs[:, :j]] == dist[a[:, None], doms[:, :j]][:, :, None]).all(axis=1)
+        fits = cand[0]
         found = fits.any(axis=1)
         if not found.all():
             s = int(np.argmin(found))
             witness = tuple(int(v) for v in doms[s, :j]), tuple(int(v) for v in imgs[s, :j])
-            return states, (*witness, int(a[s]))
+            return states, (*witness, int(doms[s, j]))
         imgs[:, j] = fits.argmax(axis=1)
+        cand = cand[1:]
+        cand &= at[imgs[:, j], want[j, j + 1 :]]
     return states, None
+
+
+def _resolved(dist, imgs, want, cand, j):
+    """Whether each walk's first candidates from position j on keep every distance.
+
+    The caller has counted w·(n−j) candidates for the positions j..,
+    one per position if this holds.  Fills imgs[:, j:] with the first
+    candidates, which the steps overwrite when it does not.
+    """
+    imgs[:, j:] = cand.argmax(axis=2).T
+    return bool((dist[imgs.T[:, None, :], imgs.T[None, :, :]] == want).all())
 
 
 def _prefix_tree(dist, states, max_states):

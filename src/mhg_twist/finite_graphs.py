@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,11 +130,7 @@ def crown_graph(m: int) -> FiniteMetricGraph:
     if not isinstance(m, int) or m < 3:
         raise InvalidInputError(f"crown needs an integer m >= 3, got {m!r}")
     adj = np.zeros((2 * m, 2 * m), dtype=bool)
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                adj[i, m + j] = True
-                adj[m + j, i] = True
+    adj[:m, m:] = adj[m:, :m] = ~np.eye(m, dtype=bool)
     return FiniteMetricGraph(adj)
 
 
@@ -152,12 +149,9 @@ def rook_graph(m: int) -> FiniteMetricGraph:
     """m x m grid, two cells adjacent when they share a row or column."""
     if not isinstance(m, int) or m < 2:
         raise InvalidInputError(f"rook grid needs an integer m >= 2, got {m!r}")
-    cells = [(r, c) for r in range(m) for c in range(m)]
-    adj = np.zeros((m * m, m * m), dtype=bool)
-    for i, (r1, c1) in enumerate(cells):
-        for j, (r2, c2) in enumerate(cells):
-            if i != j and (r1 == r2 or c1 == c2):
-                adj[i, j] = True
+    row, col = np.divmod(np.arange(m * m), m)
+    adj = (row[:, None] == row[None, :]) | (col[:, None] == col[None, :])
+    np.fill_diagonal(adj, False)
     return FiniteMetricGraph(adj)
 
 
@@ -186,18 +180,13 @@ def johnson_graph(m: int, t: int) -> FiniteMetricGraph:
     """t-subsets of an m-set, adjacent when they share t-1 elements."""
     if not isinstance(m, int) or not isinstance(t, int) or not 1 <= t < m:
         raise InvalidInputError(f"need integers 1 <= t < m, got t={t!r}, m={m!r}")
-    subsets = list(itertools.combinations(range(m), t))
-    n = len(subsets)
+    n = math.comb(m, t)
     if n > 512:
         raise BudgetError(f"{n} subsets is over the 512-vertex budget")
-    adj = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(subsets):
-        sa = set(a)
-        for j in range(i + 1, n):
-            if len(sa.intersection(subsets[j])) == t - 1:
-                adj[i, j] = True
-                adj[j, i] = True
-    return FiniteMetricGraph(adj)
+    # member[s, x]: subset s holds x, subsets in lexicographic order
+    member = np.zeros((n, m), dtype=np.int64)
+    member[np.arange(n)[:, None], list(itertools.combinations(range(m), t))] = 1
+    return FiniteMetricGraph(member @ member.T == t - 1)
 
 
 def is_isomorphic(a, b) -> bool:
@@ -717,9 +706,9 @@ def _cover_candidate(g: FiniteMetricGraph, rule: str) -> FiniteMetricGraph:
     return FiniteMetricGraph(adj)
 
 
-def _locally_base(cover: FiniteMetricGraph, base: FiniteMetricGraph) -> bool:
-    """Every vertex neighborhood induces a copy of the base graph."""
-    for v in range(cover.n):
+def _locally_base(cover: FiniteMetricGraph, base: FiniteMetricGraph, vertices) -> bool:
+    """Each of the given vertices' neighborhoods induces a copy of the base graph."""
+    for v in vertices:
         neigh = np.flatnonzero(cover.adjacency[v])
         if neigh.size != base.n:
             return False
@@ -727,6 +716,32 @@ def _locally_base(cover: FiniteMetricGraph, base: FiniteMetricGraph) -> bool:
         if not is_isomorphic(induced, base):
             return False
     return True
+
+
+def _grade_cover(cover, base, homogeneity_depth, max_states):
+    """(locally_base, homogeneity result) of one antipodal cover candidate.
+
+    Vertex 0's neighborhood is checked first and the homogeneity search
+    runs only when it passes.  The search's root walks, when they all
+    complete, end in automorphisms sending 0 to every other vertex, and
+    each carries 0's neighborhood onto that vertex's; only otherwise
+    are the other neighborhoods checked.  The result is None when the
+    candidate is not locally the base, as if the search never ran.
+    """
+    if not _locally_base(cover, base, [0]):
+        return False, None
+    rest = range(1, cover.n)
+    try:
+        hom = is_metrically_homogeneous(
+            cover, cap=cover.n, max_depth=homogeneity_depth, max_states=max_states
+        )
+    except BudgetError:
+        if _locally_base(cover, base, rest):
+            raise
+        return False, None
+    if hom.automorphisms < cover.n - 1 and not _locally_base(cover, base, rest):
+        return False, None
+    return True, hom
 
 
 def find_antipodal_cover(
@@ -742,7 +757,12 @@ def find_antipodal_cover(
     homogeneity search.  By default that search is complete, so a
     winner is proved homogeneous (J(6,3), the rook:3 cover, takes 1,244
     states).  A homogeneity_depth bounds the search to maps of that
-    many points, a certificate rather than a proof.
+    many points, a certificate rather than a proof.  Only vertex 0's
+    neighborhood is compared with the base before the search: when the
+    search's root walks all complete, the cover is vertex-transitive
+    and every neighborhood is a copy of vertex 0's, so the others are
+    compared only when a root walk got stuck.  The report is the same
+    as if every neighborhood were compared first.
     """
     if not isinstance(g, FiniteMetricGraph):
         raise InvalidInputError(f"expected a FiniteMetricGraph, got {type(g).__name__}")
@@ -760,20 +780,9 @@ def find_antipodal_cover(
             )
             continue
         anti = check_antipodal_law(cover)
-        local = None
-        homogeneous = None
-        complete = None
+        local = hom = None
         if cover.diameter == 3 and anti.verdict == "holds":
-            local = _locally_base(cover, g)
-            if local:
-                hom = is_metrically_homogeneous(
-                    cover,
-                    cap=cover.n,
-                    max_depth=homogeneity_depth,
-                    max_states=max_states,
-                )
-                homogeneous = hom.homogeneous
-                complete = hom.complete
+            local, hom = _grade_cover(cover, g, homogeneity_depth, max_states)
         results.append(
             CoverCandidate(
                 rule=rule,
@@ -783,8 +792,8 @@ def find_antipodal_cover(
                 antipodal=anti.antipodal,
                 law_verdict=anti.verdict,
                 locally_base=local,
-                homogeneous=homogeneous,
-                homogeneity_complete=complete,
+                homogeneous=None if hom is None else hom.homogeneous,
+                homogeneity_complete=None if hom is None else hom.complete,
             )
         )
     winners = tuple(c.rule for c in results if c.accepted())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,9 +39,12 @@ def _tables(delta: int) -> SimpleNamespace:
     mins = trips[:, 0]
     metric = trips[:, 0] + trips[:, 1] >= trips[:, 2]
     even = perim % 2 == 0
-    # int32 ranks: C(66, 3) = 45,760 sorted triples at MAX_DELTA
+    # int32 ranks: C(66, 3) = 45,760 sorted triples at MAX_DELTA; each
+    # triple's rank is written at all six orders of its entries, so a
+    # lookup needs no sort
     rank3d = np.full((delta + 1,) * 3, -1, dtype=np.int32)
-    rank3d[trips[:, 0], trips[:, 1], trips[:, 2]] = np.arange(n)
+    for order in permutations(range(3)):
+        rank3d[tuple(trips[:, order].T)] = np.arange(n)
     geodesic = np.array(
         [rank3d[1, k, k + 1] for k in range(1, delta)], dtype=np.int64
     )
@@ -149,10 +152,10 @@ class TriangleSet:
 @lru_cache(maxsize=65536)
 def _rank_permutation_cached(delta: int, images: tuple) -> np.ndarray:
     tabs = _tables(delta)
-    imgs = np.asarray(images, dtype=np.int64)
-    mapped = imgs[tabs.triples - 1]
-    mapped.sort(axis=1)
-    ranks = tabs.rank3d[mapped[:, 0], mapped[:, 1], mapped[:, 2]]
+    # entry 0 pads the images so that a distance indexes its own image
+    imgs = np.array((0,) + images, dtype=np.int64)
+    t0, t1, t2 = tabs.triples.T
+    ranks = tabs.rank3d[imgs[t0], imgs[t1], imgs[t2]]
     ranks.setflags(write=False)
     return ranks
 
@@ -210,8 +213,7 @@ def fiber_distances(tset: TriangleSet, i: int) -> list[int]:
     if not isinstance(i, (int, np.integer)):
         raise InvalidInputError(f"i must be an integer, got {i!r}")
     ks = np.arange(1, tset.delta + 1)
-    # sorted (i, i, k) is (min(i, k), i, max(i, k))
-    ranks = _tables(tset.delta).rank3d[np.minimum(ks, i), i, np.maximum(ks, i)]
+    ranks = _tables(tset.delta).rank3d[ks, i, i]
     return ks[tset.to_bool_array()[ranks]].tolist()
 
 

@@ -168,6 +168,47 @@ def test_johnson_graph_basics():
         johnson_graph(14, 7)
 
 
+def loop_crown(m):
+    adj = np.zeros((2 * m, 2 * m), dtype=bool)
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                adj[i, m + j] = adj[m + j, i] = True
+    return adj
+
+
+def loop_rook(m):
+    cells = [(r, c) for r in range(m) for c in range(m)]
+    adj = np.zeros((m * m, m * m), dtype=bool)
+    for i, (r1, c1) in enumerate(cells):
+        for j, (r2, c2) in enumerate(cells):
+            adj[i, j] = i != j and (r1 == r2 or c1 == c2)
+    return adj
+
+
+def loop_johnson(m, t):
+    subsets = list(itertools.combinations(range(m), t))
+    adj = np.zeros((len(subsets), len(subsets)), dtype=bool)
+    for i, a in enumerate(subsets):
+        for j, b in enumerate(subsets):
+            adj[i, j] = len(set(a) & set(b)) == t - 1
+    return adj
+
+
+@pytest.mark.parametrize(
+    "build,want",
+    [(lambda m=m: crown_graph(m), lambda m=m: loop_crown(m)) for m in range(3, 13)]
+    + [(lambda m=m: rook_graph(m), lambda m=m: loop_rook(m)) for m in range(2, 7)]
+    + [(lambda m=m, t=t: johnson_graph(m, t), lambda m=m, t=t: loop_johnson(m, t))
+       for m, t in [(2, 1), (4, 2), (5, 2), (6, 2), (6, 3), (7, 3), (8, 4), (9, 1), (9, 8)]],
+)
+def test_constructors_match_the_pairwise_loops(build, want):
+    # the broadcast constructors give the adjacency of the loop over vertex pairs, byte for byte
+    got, ref = build().adjacency, want()
+    assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+    assert got.tobytes() == ref.tobytes()
+
+
 def test_degenerate_sizes_rejected():
     with pytest.raises(InvalidInputError):
         cycle_graph(2)
@@ -380,10 +421,10 @@ def relabel(g, seed):
     ids=["ico", "crown5", "K333", "rook3", "C9"],
 )
 def test_relabelled_homogeneous_graph_keeps_verdict_and_states(build, full_walk, seed):
-    # The walk without the forced-extension cut builds full_walk states
-    # under any labels (those holding 0->0 are as many as those holding
-    # v->v).  Which domain prefix resolves the graph first depends on the
-    # labels, so the cut walk's count moves with them but never passes it.
+    # The prefix tree orders classes by least member, so its state count
+    # moves with the labels; on these graphs it stays under full_walk, the
+    # states of the level kernel from 0->0 without the forced-extension
+    # cut, which are the same under any labels.
     g = build()
     base = is_metrically_homogeneous(g)
     res = is_metrically_homogeneous(relabel(g, seed))
@@ -1171,6 +1212,125 @@ def test_cover_report_json():
     assert blob["base_n"] == 9
     assert blob["winners"] == ["johnson-6-3"]
     assert len(blob["candidates"]) == len(rep.candidates)
+
+
+# find_antipodal_cover(base).to_json() before the search let vertex 0's
+# neighborhood stand for every neighborhood of a vertex-transitive cover:
+# (base_n, winners, one row per candidate with rule, connected, n,
+# diameter, antipodal, law_verdict, locally_base, homogeneous,
+# homogeneity_complete)
+COVER_REPORTS = {
+    "C4": (lambda: cycle_graph(4), 4, (), [
+        ("layered-matching", True, 8, 3, True, "holds", False, None, None),
+        ("layered-adjacency", True, 8, 2, False, "not-antipodal", None, None, None),
+        ("layered-complement", True, 8, 3, True, "holds", False, None, None),
+        ("icosahedron", True, 12, 3, True, "holds", False, None, None),
+        ("johnson-6-3", True, 20, 3, True, "holds", False, None, None),
+    ]),
+    "C5": (lambda: cycle_graph(5), 5, ("icosahedron",), [
+        ("layered-matching", True, 10, 3, False, "not-antipodal", None, None, None),
+        ("layered-adjacency", True, 10, 2, False, "not-antipodal", None, None, None),
+        ("layered-complement", True, 10, 3, True, "holds", False, None, None),
+        ("icosahedron", True, 12, 3, True, "holds", True, True, True),
+        ("johnson-6-3", True, 20, 3, True, "holds", False, None, None),
+    ]),
+    "C6": (lambda: cycle_graph(6), 6, (), [
+        ("layered-matching", True, 12, 4, True, "holds", None, None, None),
+        ("layered-adjacency", True, 12, 3, False, "not-antipodal", None, None, None),
+        ("layered-complement", True, 12, 3, False, "not-antipodal", None, None, None),
+        ("icosahedron", True, 12, 3, True, "holds", False, None, None),
+        ("johnson-6-3", True, 20, 3, True, "holds", False, None, None),
+    ]),
+    "K3,3": (lambda: complete_multipartite([3, 3]), 6, (), [
+        ("layered-matching", True, 12, 3, False, "not-antipodal", None, None, None),
+        ("layered-adjacency", True, 12, 2, False, "not-antipodal", None, None, None),
+        ("layered-complement", True, 12, 3, True, "holds", False, None, None),
+        ("icosahedron", True, 12, 3, True, "holds", False, None, None),
+        ("johnson-6-3", True, 20, 3, True, "holds", False, None, None),
+    ]),
+    "K2,2,2": (lambda: complete_multipartite([2, 2, 2]), 6, (), [
+        ("layered-matching", True, 12, 3, True, "holds", False, None, None),
+        ("layered-adjacency", True, 12, 2, False, "not-antipodal", None, None, None),
+        ("layered-complement", True, 12, 3, True, "holds", False, None, None),
+        ("icosahedron", True, 12, 3, True, "holds", False, None, None),
+        ("johnson-6-3", True, 20, 3, True, "holds", False, None, None),
+    ]),
+    "rook3": (lambda: rook_graph(3), 9, ("johnson-6-3",), [
+        ("layered-matching", True, 18, 3, False, "not-antipodal", None, None, None),
+        ("layered-adjacency", True, 18, 2, False, "not-antipodal", None, None, None),
+        ("layered-complement", True, 18, 3, True, "holds", False, None, None),
+        ("icosahedron", True, 12, 3, True, "holds", False, None, None),
+        ("johnson-6-3", True, 20, 3, True, "holds", True, True, True),
+    ]),
+    "rook4": (lambda: rook_graph(4), 16, (), [
+        ("layered-matching", True, 32, 3, False, "not-antipodal", None, None, None),
+        ("layered-adjacency", True, 32, 2, False, "not-antipodal", None, None, None),
+        ("layered-complement", True, 32, 3, True, "holds", False, None, None),
+        ("icosahedron", True, 12, 3, True, "holds", False, None, None),
+        ("johnson-6-3", True, 20, 3, True, "holds", False, None, None),
+    ]),
+    "crown4": (lambda: crown_graph(4), 8, (), [
+        ("layered-matching", True, 16, 4, True, "holds", None, None, None),
+        ("layered-adjacency", True, 16, 3, False, "not-antipodal", None, None, None),
+        ("layered-complement", True, 16, 3, False, "not-antipodal", None, None, None),
+        ("icosahedron", True, 12, 3, True, "holds", False, None, None),
+        ("johnson-6-3", True, 20, 3, True, "holds", False, None, None),
+    ]),
+}
+
+COVER_FIELDS = (
+    "rule", "connected", "n", "diameter", "antipodal", "law_verdict",
+    "locally_base", "homogeneous", "homogeneity_complete",
+)
+
+
+@pytest.mark.parametrize("name", list(COVER_REPORTS))
+def test_cover_reports_are_pinned(name):
+    build, base_n, winners, rows = COVER_REPORTS[name]
+    want = {
+        "base_n": base_n,
+        "winners": list(winners),
+        "candidates": [dict(zip(COVER_FIELDS, row)) for row in rows],
+    }
+    assert json.loads(find_antipodal_cover(build()).to_json()) == want
+
+
+def test_transitive_cover_checks_one_neighborhood(monkeypatch):
+    # J(6,3) and the icosahedron are the only candidates over rook:3 and
+    # C5 whose vertex 0 has a neighborhood of the base's size; their root
+    # walks complete, so vertex 0's neighborhood is the only one compared
+    calls = []
+    real = finite_graphs.is_isomorphic
+
+    def spy(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(finite_graphs, "is_isomorphic", spy)
+    for base in (rook_graph(3), cycle_graph(5)):
+        calls.clear()
+        assert find_antipodal_cover(base).winners
+        assert calls == [base.n]
+
+
+@pytest.mark.parametrize("max_states", [DEFAULT_STATE_BUDGET, 1])
+def test_cover_grade_checks_every_neighborhood_of_an_intransitive_cover(max_states):
+    # In the paw, vertex 0's neighborhood is an edge but vertex 3's is a
+    # single vertex.  The search runs, or passes its budget, and the
+    # other neighborhoods decide: not locally the base, and no search
+    # result, as if the search had never run.
+    paw = from_edge_list("0 1\n0 2\n1 2\n2 3\n")
+    edge = FiniteMetricGraph([[0, 1], [1, 0]])
+    assert finite_graphs._locally_base(paw, edge, [0])
+    assert finite_graphs._grade_cover(paw, edge, None, max_states) == (False, None)
+
+
+def test_cover_grade_budget_error_stands_when_every_neighborhood_passes():
+    triangle, edge = cycle_graph(3), FiniteMetricGraph([[0, 1], [1, 0]])
+    local, hom = finite_graphs._grade_cover(triangle, edge, None, DEFAULT_STATE_BUDGET)
+    assert local and hom.homogeneous and hom.automorphisms == 2
+    with pytest.raises(BudgetError):
+        finite_graphs._grade_cover(triangle, edge, None, 1)
 
 
 def test_double_cover_constructor_properties():

@@ -1,6 +1,7 @@
 """Triangle sets: enumeration, membership, images, metric and geodesic scans."""
 
 import copy
+import itertools
 import pickle
 import random
 
@@ -12,6 +13,7 @@ from mhg_twist import (
     InvalidInputError,
     OutOfAlphabetError,
     TriangleSet,
+    Twist,
     all_triples,
     contains_geodesics,
     fiber_distances,
@@ -23,6 +25,7 @@ from mhg_twist import (
     rho_inverse,
     tau,
 )
+from mhg_twist.triangle_catalog import _tables, rank_permutation
 
 
 @pytest.mark.parametrize("delta", range(1, 13))
@@ -113,6 +116,27 @@ def test_image_membership_goes_through_the_inverse(delta):
     inv = twist.inverse()
     for x in all_triples(delta):
         assert (x in img) == (inv.apply_to_triple(x) in ts)
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3, 7, 12])
+def test_rank_table_holds_every_order(delta):
+    rank3d = _tables(delta).rank3d
+    for r, t in enumerate(all_triples(delta)):
+        assert {int(rank3d[p]) for p in itertools.permutations(t)} == {r}
+    # entries with a 0 are no triple at all
+    assert (rank3d[0] == -1).all() and (rank3d[:, 0] == -1).all() and (rank3d[:, :, 0] == -1).all()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_permutation_matches_the_sorted_lookup(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        delta = rng.randint(3, 25)
+        images = list(range(1, delta + 1))
+        rng.shuffle(images)
+        rank = {t: r for r, t in enumerate(all_triples(delta))}
+        want = [rank[tuple(sorted(images[x - 1] for x in t))] for t in all_triples(delta)]
+        assert rank_permutation(Twist(tuple(images))).tolist() == want
 
 
 def test_image_under_identity_is_identity():
