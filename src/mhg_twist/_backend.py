@@ -63,44 +63,17 @@ verdicts, states, automorphisms and witnesses are those of the walk
 that places every vertex.  A count that matches while F is no isometry
 (a vertex with no candidate and another with two, or a forced map that
 is no bijection) lets the walks step on.  One candidate per vertex
-means the domain resolves the graph, as in the forced extensions
-below.  A resolving set holds all twins but one of each twin class
-(twins: vertices at the same distance from every third), so on graphs
-with large twin classes the walks seldom finish early.
+means the domain resolves the graph (a metric basis: Slater 1975;
+Harary & Melter 1976).  A resolving set holds all twins but one of
+each twin class (twins: vertices at the same distance from every
+third), so on graphs with large twin classes the walks seldom finish
+early.
 
-Depth bound.  With a bound d, a tree that completes still proves the
-space homogeneous at every depth, and a stuck walk of at most d points
-answers the bounded question.  A stuck walk of more than d points says
-nothing about maps of at most d points, so the search hands over to
-the fallback walk: every partial isometry of up to d points, grown
-from all n² one-point maps.
-
-The fallback walk.  The level kernel holds partial isometries as
-pairs of rows (doms, imgs) with doms strictly increasing; children
-extend doms only past its maximum, so each domain-set/map pair has a
-unique generation path and no visited-set is needed.  The for-all
-check at a state ranges over every vertex outside the domain.
-
-Forced extensions (fallback walk only; the prefix tree's walks finish
-on the same condition, see Early finish).  When every vertex has
-exactly one candidate image under a partial isometry f, its domain
-resolves the graph (a metric basis: Slater 1975; Harary & Melter
-1976) and f has at most one total extension, the map F sending each
-vertex to its candidate.  If F is a bijection and an isometry it is
-an automorphism, and every descendant of f in the walk is a
-restriction of F: each added point can only take its one candidate,
-which is its image under F.  A restriction of an automorphism
-extends by one point, so the subtree below f holds no stuck map and
-the kernel builds no children for f.  The cut removes only stuck-free subtrees, so verdicts and
-witnesses are those of the full walk; only the state count falls.
-Which prefix of a domain resolves first depends on the vertex labels,
-so the cut walk's count changes when a graph is relabelled.
-
-States.  The search counts one state for the result, one per walk
-step and one per map the fallback builds, all against one budget.  A
-node's walks are checked against it before they start, and the kernel
-checks it while it builds a level, so a level past the budget is never
-held in memory.
+States.  The search counts one state for the result and one per walk
+step, all against one budget; a node's walks are checked against it
+before they start.  A node's arrays hold n entries per pair of walk
+and vertex, and the stack holds at most n children per level on at
+most n levels, so memory grows as n³ whatever the number of states.
 """
 
 from __future__ import annotations
@@ -112,17 +85,10 @@ from .errors import BudgetError
 #: states explored before the homogeneity search gives up
 DEFAULT_STATE_BUDGET = 30_000_000
 
-#: states checked per numpy block in the level kernel
-_CHUNK = 8192
-
-#: forced rows per automorphism check; its int64 scratch is an eighth of a block's match
-_ISO_ROWS = _CHUNK // 64
-
 
 def _budget_error(max_states: int, n: int) -> BudgetError:
     return BudgetError(
-        f"homogeneity search passed {max_states} states on {n} vertices; "
-        "raise max_states or lower max_depth"
+        f"homogeneity search passed {max_states} states on {n} vertices; raise max_states"
     )
 
 
@@ -233,144 +199,15 @@ def _prefix_tree(dist, states, max_states):
     return states, n - 1, None
 
 
-def _forced_automorphisms(dist, doms, match):
-    """Rows whose subtrees the forced-extension cut skips.
-
-    match[r, a, b] says a -> b keeps every distance to row r's partial
-    isometry f, so each domain vertex has exactly its own image.  A row
-    is forced when every vertex has exactly one candidate; F maps each
-    vertex to it.  Returns the indices of the forced rows whose F is an
-    automorphism, in order, leaving out rows whose domain ends at the
-    last vertex: they have no children to skip.  Counting all of a
-    row's candidates at once is exact: a row with n of them and an
-    empty vertex x cannot pass, since an automorphism F that extends f
-    would make F(x) a candidate of x.  F is an automorphism when it
-    keeps every distance; that makes it a bijection too, for F(x) = F(y)
-    would put x and y at distance 0.  F and dist[F, F] are built for
-    _ISO_ROWS rows at a time.
-    """
-    s, n, _ = match.shape
-    total = np.count_nonzero(match.reshape(s, n * n), axis=1)
-    rows = np.flatnonzero((total == n) & (doms[:, -1] < n - 1))
-    if not rows.size:
-        return rows
-    flat = dist.reshape(-1)
-    keep = np.zeros(rows.size, dtype=bool)
-    for start in range(0, rows.size, _ISO_ROWS):
-        f = match[rows[start : start + _ISO_ROWS]].argmax(axis=2)
-        pairs = flat[(f * n)[:, :, None] + f[:, None, :]]
-        keep[start : start + _ISO_ROWS] = (pairs == dist).all(axis=(1, 2))
-    return rows[keep]
-
-
-def _extension_levels(dist, doms, imgs, max_depth, states, max_states):
-    """Walk every partial isometry grown from the root rows (doms, imgs).
-
-    Returns (states, forced, witness) with witness None when every map
-    of at most max_depth points extends by one point, and forced the
-    number of rows whose children the forced-extension cut skipped.  A
-    level is held as the list of blocks that made it, never
-    concatenated.  Child rows are counted before they are built; once
-    the level in hand plus its children pass max_states, no more
-    children are kept, the level's check runs to its end and
-    BudgetError follows.
-    """
-    n = dist.shape[0]
-    allv = np.arange(n)
-    m = doms.shape[1]
-    states += doms.shape[0]
-    if states > max_states:
-        raise _budget_error(max_states, n)
-    level = [(doms, imgs)]
-    forced = 0
-    # one block's scratch, reused by every block: fresh arrays per block
-    # cost a page fault per 4 KB touched
-    match_buf = np.empty((_CHUNK, n, n), dtype=bool)
-    same_buf = np.empty((_CHUNK, n, n), dtype=bool)
-    while True:
-        grow_more = m < max_depth
-        next_level = []
-        pending = 0
-        for part_doms, part_imgs in level:
-            for start in range(0, part_doms.shape[0], _CHUNK):
-                dchunk = part_doms[start : start + _CHUNK]
-                ichunk = part_imgs[start : start + _CHUNK]
-                s = dchunk.shape[0]
-                # match[r, a, b]: a -> b keeps every distance to row r's map
-                match, same = match_buf[:s], same_buf[:s]
-                np.equal(
-                    dist[dchunk[:, 0]][:, :, None], dist[ichunk[:, 0]][:, None, :], out=match
-                )
-                for i in range(1, m):
-                    np.equal(dist[dchunk[:, i]][:, :, None], dist[ichunk[:, i]][:, None, :], out=same)
-                    match &= same
-                indom = np.zeros((s, n), dtype=bool)
-                np.put_along_axis(indom, dchunk, True, axis=1)
-                missing = ~match.any(axis=2) & ~indom
-                if missing.any():
-                    srow = int(np.flatnonzero(missing.any(axis=1))[0])
-                    stuck = int(np.flatnonzero(missing[srow])[0])
-                    witness = (
-                        tuple(int(x) for x in dchunk[srow]),
-                        tuple(int(x) for x in ichunk[srow]),
-                        stuck,
-                    )
-                    return states, forced, witness
-                if not grow_more:
-                    continue
-                cut = _forced_automorphisms(dist, dchunk, match)
-                forced += cut.size
-                match[cut] = False
-                match &= (allv[None, :] > dchunk[:, -1:])[:, :, None]
-                match &= ~indom[:, :, None]
-                pending += int(np.count_nonzero(match))
-                if states + pending > max_states:
-                    grow_more = False
-                    next_level = []
-                    continue
-                sidx, aidx, bidx = np.nonzero(match)
-                if sidx.size:
-                    next_level.append(
-                        (
-                            np.concatenate([dchunk[sidx], aidx[:, None]], axis=1),
-                            np.concatenate([ichunk[sidx], bidx[:, None]], axis=1),
-                        )
-                    )
-        if states + pending > max_states:
-            raise _budget_error(max_states, n)
-        if not next_level:
-            return states, forced, None
-        level = next_level
-        states += pending
-        m += 1
-
-
-def homogeneity_search(
-    dist,
-    max_depth: int | None = None,
-    max_states: int = DEFAULT_STATE_BUDGET,
-):
+def homogeneity_search(dist, max_states: int = DEFAULT_STATE_BUDGET):
     """Run the one-point extension search over a distance matrix.
 
-    Returns (ok, states, automorphisms, forced, witness): witness is
-    None on success and (doms, imgs, stuck_vertex) on failure;
-    automorphisms is the number of root walks that completed, n-1 when
-    all of them did and 0 when one got stuck or, at depth 0, none ran;
-    forced is the number of rows whose subtrees the fallback walk's
-    forced-extension cut skipped.  Raises BudgetError when the state
-    budget runs out before an answer is reached.
+    Returns (ok, states, automorphisms, witness): witness is None on
+    success and (doms, imgs, stuck_vertex) on failure; automorphisms is
+    the number of root walks that completed, n-1 when all of them did
+    and 0 when one got stuck.  Raises BudgetError when the state budget
+    runs out before an answer is reached.
     """
     d = np.ascontiguousarray(dist, dtype=np.int64)
-    n = d.shape[0]
-    depth = n - 1 if max_depth is None else min(max_depth, n - 1)
-    states = 1
-    if depth < 1:
-        return True, states, 0, 0, None
-    states, automorphisms, stuck_map = _prefix_tree(d, states, max_states)
-    if stuck_map is None:
-        return True, states, automorphisms, 0, None
-    if len(stuck_map[0]) <= depth:
-        return False, states, automorphisms, 0, stuck_map
-    roots = np.repeat(np.arange(n), n)[:, None], np.tile(np.arange(n), n)[:, None]
-    states, forced, witness = _extension_levels(d, *roots, depth, states, max_states)
-    return witness is None, states, automorphisms, forced, witness
+    states, automorphisms, witness = _prefix_tree(d, 1, max_states)
+    return witness is None, states, automorphisms, witness

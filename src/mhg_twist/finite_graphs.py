@@ -297,25 +297,19 @@ def _triples_of_matrix(m: np.ndarray, delta: int) -> TriangleSet:
 class HomogeneityResult:
     """Outcome of the one-point extension search on one graph.
 
-    complete is False when the search was depth-bounded, in which case
-    homogeneous=True only certifies extension up to that many points.
-    witness on failure is (domain vertices, image vertices, vertex with
-    no valid image).  automorphisms counts the root walks that ended in
-    an automorphism, one sending 0 to each other vertex: n-1 when they
-    all complete, which every complete pass needs, and 0 when one got
-    stuck or none ran (depth 0).  forced counts the partial isometries
-    whose subtrees the depth-bounded fallback walk skipped because their
-    only total extension is an automorphism; it is 0 when the prefix
-    tree alone decides (see _backend).
+    complete is always True, since the search decides maps of every
+    size; the field stays for readers of the JSON.  witness on failure
+    is (domain vertices, image vertices, vertex with no valid image).
+    automorphisms counts the root walks that ended in an automorphism,
+    one sending 0 to each other vertex: n-1 when they all complete, as
+    every proof of homogeneity needs, and 0 when one got stuck.
     """
 
     homogeneous: bool
     states: int
-    depth: int
     complete: bool
     witness: tuple[tuple[int, ...], tuple[int, ...], int] | None
     automorphisms: int
-    forced: int
 
     def __bool__(self) -> bool:
         return self.homogeneous
@@ -331,10 +325,8 @@ class HomogeneityResult:
         return json.dumps(
             {
                 "automorphisms": self.automorphisms,
-                "forced": self.forced,
                 "homogeneous": self.homogeneous,
                 "states": self.states,
-                "depth": self.depth,
                 "complete": self.complete,
                 "witness": witness,
             },
@@ -342,10 +334,15 @@ class HomogeneityResult:
         )
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse a bound that is not a positive int (a bool is no count)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
+
+
 def is_metrically_homogeneous(
     g: FiniteMetricGraph,
     cap: int = 24,
-    max_depth: int | None = None,
     max_states: int = DEFAULT_STATE_BUDGET,
 ) -> HomogeneityResult:
     """Decide whether every partial isometry extends to a total one.
@@ -359,29 +356,22 @@ def is_metrically_homogeneous(
     fixing P, and every partial isometry extends to an automorphism
     (see _backend for the proof).  It is exponential in the worst case,
     so graphs above the vertex cap are refused and a state budget
-    bounds the search; both raise BudgetError.  max_depth bounds the
-    partial isometry size instead of proving full homogeneity (the
-    result then says complete=False): a witness of more points hands
-    the question to a walk over every map of at most max_depth points.
+    bounds the search; both raise BudgetError.  cap and max_states
+    must be positive ints, else InvalidInputError.
     """
     if not isinstance(g, FiniteMetricGraph):
         raise InvalidInputError(f"expected a FiniteMetricGraph, got {type(g).__name__}")
-    if not isinstance(cap, int) or cap < 1:
-        raise InvalidInputError(f"cap must be a positive integer, got {cap!r}")
+    _check_count("cap", cap)
+    _check_count("max_states", max_states)
     if g.n > cap:
         raise BudgetError(f"graph has {g.n} vertices, over the cap of {cap}")
-    depth = g.n - 1 if max_depth is None else max(0, min(max_depth, g.n - 1))
-    ok, states, automorphisms, forced, witness = homogeneity_search(
-        g.dist, max_depth=depth, max_states=max_states
-    )
+    ok, states, automorphisms, witness = homogeneity_search(g.dist, max_states=max_states)
     return HomogeneityResult(
         homogeneous=ok,
         states=states,
-        depth=depth,
-        complete=depth >= g.n - 1,
+        complete=True,
         witness=witness,
         automorphisms=automorphisms,
-        forced=forced,
     )
 
 
@@ -575,6 +565,8 @@ def complement_twist(
     """Grade the 1<->2 distance swap on a diameter-2 graph."""
     if not isinstance(g, FiniteMetricGraph):
         raise InvalidInputError(f"expected a FiniteMetricGraph, got {type(g).__name__}")
+    _check_count("cap", cap)
+    _check_count("max_states", max_states)
     if g.diameter != 2:
         raise InvalidInputError(
             f"the 1<->2 swap needs a diameter-2 graph, got diameter {g.diameter}"
@@ -718,7 +710,7 @@ def _locally_base(cover: FiniteMetricGraph, base: FiniteMetricGraph, vertices) -
     return True
 
 
-def _grade_cover(cover, base, homogeneity_depth, max_states):
+def _grade_cover(cover, base, max_states):
     """(locally_base, homogeneity result) of one antipodal cover candidate.
 
     Vertex 0's neighborhood is checked first and the homogeneity search
@@ -732,9 +724,7 @@ def _grade_cover(cover, base, homogeneity_depth, max_states):
         return False, None
     rest = range(1, cover.n)
     try:
-        hom = is_metrically_homogeneous(
-            cover, cap=cover.n, max_depth=homogeneity_depth, max_states=max_states
-        )
+        hom = is_metrically_homogeneous(cover, cap=cover.n, max_states=max_states)
     except BudgetError:
         if _locally_base(cover, base, rest):
             raise
@@ -746,7 +736,6 @@ def _grade_cover(cover, base, homogeneity_depth, max_states):
 
 def find_antipodal_cover(
     g: FiniteMetricGraph,
-    homogeneity_depth: int | None = None,
     max_states: int = DEFAULT_STATE_BUDGET,
 ) -> CoverSearchReport:
     """Search known constructions for an antipodal diameter-3 cover of g.
@@ -754,18 +743,19 @@ def find_antipodal_cover(
     A candidate wins when it is connected of diameter 3, pairs off
     antipodally with the reflected-distance law, induces a copy of the
     base graph on every vertex neighborhood, and passes the
-    homogeneity search.  By default that search is complete, so a
-    winner is proved homogeneous (J(6,3), the rook:3 cover, takes 1,244
-    states).  A homogeneity_depth bounds the search to maps of that
-    many points, a certificate rather than a proof.  Only vertex 0's
-    neighborhood is compared with the base before the search: when the
-    search's root walks all complete, the cover is vertex-transitive
-    and every neighborhood is a copy of vertex 0's, so the others are
-    compared only when a root walk got stuck.  The report is the same
-    as if every neighborhood were compared first.
+    homogeneity search, so a winner is proved homogeneous (J(6,3), the
+    rook:3 cover, takes 1,244 states).  max_states bounds each
+    candidate's search; it must be a positive int, checked before any
+    candidate is built.  Only vertex 0's neighborhood is compared with
+    the base before the search: when the search's root walks all
+    complete, the cover is vertex-transitive and every neighborhood is
+    a copy of vertex 0's, so the others are compared only when a root
+    walk got stuck.  The report is the same as if every neighborhood
+    were compared first.
     """
     if not isinstance(g, FiniteMetricGraph):
         raise InvalidInputError(f"expected a FiniteMetricGraph, got {type(g).__name__}")
+    _check_count("max_states", max_states)
     results = []
     for rule in _COVER_RULES:
         try:
@@ -782,7 +772,7 @@ def find_antipodal_cover(
         anti = check_antipodal_law(cover)
         local = hom = None
         if cover.diameter == 3 and anti.verdict == "holds":
-            local, hom = _grade_cover(cover, g, homogeneity_depth, max_states)
+            local, hom = _grade_cover(cover, g, max_states)
         results.append(
             CoverCandidate(
                 rule=rule,

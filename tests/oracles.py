@@ -329,3 +329,33 @@ def forced_extension(dist, dom, img):
             if dist[images[a]][images[b]] != dist[a][b]:
                 return None
     return tuple(images)
+
+
+def catalog_family(dist):
+    """The finite catalog's Cayley family of a connected graph, or None.
+
+    "cycle": every degree is 2.  "complete multipartite": the complement
+    plus the identity is an equivalence relation (K_n included).
+    "crown": bipartite, of diameter 3, every degree n/2 - 1, so each
+    vertex misses one vertex across: K_{m,m} less a perfect matching.
+    A graph in more than one family gets the first that holds.
+    """
+    n = len(dist)
+    degrees = [sum(1 for v in range(n) if dist[u][v] == 1) for u in range(n)]
+    if all(d == 2 for d in degrees):
+        return "cycle"
+    # each vertex with its non-neighbours: an equivalence relation when
+    # every member of a vertex's set has the same set
+    same = [frozenset(v for v in range(n) if dist[u][v] != 1) for u in range(n)]
+    if all(same[v] == same[u] for u in range(n) for v in same[u]):
+        return "complete multipartite"
+    bipartite = all(
+        (dist[0][u] + dist[0][v]) % 2 == 1
+        for u in range(n)
+        for v in range(n)
+        if dist[u][v] == 1
+    )
+    diameter = max(max(row) for row in dist)
+    if bipartite and diameter == 3 and all(2 * d == n - 2 for d in degrees):
+        return "crown"
+    return None

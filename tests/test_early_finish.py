@@ -75,7 +75,7 @@ def both_searches(g, monkeypatch):
     + [pytest.param(lambda: NAMED, id="named")],
 )
 def test_early_finish_matches_the_stepwise_walk(family, monkeypatch):
-    # (ok, states, automorphisms, forced, witness) of the whole search
+    # (ok, states, automorphisms, witness) of the whole search
     for g in family():
         got, want = both_searches(g, monkeypatch)
         assert got == want, g.edges()
@@ -110,5 +110,5 @@ def test_a_forced_map_that_is_no_automorphism_steps_on(monkeypatch):
 
     monkeypatch.setattr(_backend, "_resolved", spy)
     got, want = both_searches(FiniteMetricGraph([[0, 1, 1], [1, 0, 0], [1, 0, 0]]), monkeypatch)
-    assert got == want == (False, 5, 0, 0, ((0, 1), (1, 0), 2))
+    assert got == want == (False, 5, 0, ((0, 1), (1, 0), 2))
     assert finished == [False]

@@ -4,12 +4,12 @@ import copy
 import itertools
 import json
 import pickle
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import exhaustive_walk
 import oracles
 from mhg_twist import (
     BudgetError,
@@ -49,8 +49,8 @@ from mhg_twist import (
     to_adjacency_json,
     to_edge_list,
 )
-from mhg_twist import _backend, finite_graphs
-from mhg_twist._backend import _CHUNK, DEFAULT_STATE_BUDGET
+from mhg_twist import finite_graphs
+from mhg_twist._backend import DEFAULT_STATE_BUDGET
 
 PETERSEN_EDGES = "\n".join(
     "%d %d" % e
@@ -373,32 +373,23 @@ DEPTH_CASES = [
     "name,build,depth", DEPTH_CASES, ids=[f"{c[0]}-d{c[2]}" for c in DEPTH_CASES]
 )
 def test_depth_bounded_search_matches_brute_force(name, build, depth):
+    # The exhaustive reference, bounded at depth, against the brute-force
+    # oracle bounded alike: where the reference cannot walk every map,
+    # test_prefix_tree_matches_the_exhaustive_walk has it decide maps of
+    # up to 2 points.
     g = build()
     dist = [list(map(int, row)) for row in g.dist]
     want, _ = oracles.homogeneous(dist, max_depth=depth)
-    res = is_metrically_homogeneous(g, max_depth=depth)
-    assert res.homogeneous == want
-    assert (res.depth, res.complete) == (depth, depth == g.n - 1)
-    if want:
-        assert res.witness is None
-    else:
-        assert len(res.witness[0]) <= depth
-        validate_homogeneity_witness(g, res.witness)
-
-
-def test_depth_bounded_pass_without_a_transversal():
-    # The house is not vertex-transitive: the greedy walk from 0->3 sticks
-    # on a 2-point map, which says nothing about 1-point maps, so depth 1
-    # is decided by the walk from all n*n roots.
-    house = dict(SMALL_CASES)["house"]()
-    res = is_metrically_homogeneous(house, max_depth=1)
-    assert res.homogeneous and res.automorphisms == 0
-    assert res.states == 1 + 4 * 2 + 5 * 5
+    _, _, witness = all_roots_walk(g, depth, DEFAULT_STATE_BUDGET)
+    assert (witness is None) == want
+    if not want:
+        assert len(witness[0]) <= depth
+        validate_homogeneity_witness(g, witness)
 
 
 def test_homogeneity_result_reports_automorphisms():
-    res = is_metrically_homogeneous(johnson_graph(6, 3), max_depth=3)
-    assert res.homogeneous and res.automorphisms == 19
+    res = is_metrically_homogeneous(johnson_graph(6, 3))
+    assert res.homogeneous and (res.states, res.automorphisms) == (1244, 19)
     assert json.loads(res.to_json())["automorphisms"] == 19
     assert is_metrically_homogeneous(icosahedron()).automorphisms == 11
     assert is_metrically_homogeneous(cycle_graph(9)).automorphisms == 8
@@ -415,16 +406,17 @@ def relabel(g, seed):
 @pytest.mark.parametrize("seed", [7, 11])
 @pytest.mark.parametrize(
     "build,full_walk",
-    [(icosahedron, 20424), (lambda: crown_graph(5), 10524),
-     (lambda: complete_multipartite([3, 3, 3]), 16098),
-     (lambda: rook_graph(3), 2050), (lambda: cycle_graph(9), 574)],
+    [(icosahedron, 20303), (lambda: crown_graph(5), 10443),
+     (lambda: complete_multipartite([3, 3, 3]), 16034),
+     (lambda: rook_graph(3), 1986), (lambda: cycle_graph(9), 510)],
     ids=["ico", "crown5", "K333", "rook3", "C9"],
 )
 def test_relabelled_homogeneous_graph_keeps_verdict_and_states(build, full_walk, seed):
     # The prefix tree orders classes by least member, so its state count
     # moves with the labels; on these graphs it stays under full_walk, the
-    # states of the level kernel from 0->0 without the forced-extension
-    # cut, which are the same under any labels.
+    # states of the exhaustive walk (tests/exhaustive_walk.py) from the
+    # one root 0->0 without its forced-extension cut, which are the same
+    # under any labels.
     g = build()
     base = is_metrically_homogeneous(g)
     res = is_metrically_homogeneous(relabel(g, seed))
@@ -462,11 +454,19 @@ FORCED_CASES = [
 
 
 def zero_root_walk(g, depth, max_states):
-    """The level kernel from the one root 0->0 (the prefix tree decides
-    these graphs without it, so the kernel is driven directly)."""
+    """The exhaustive reference walk from the one root 0->0."""
     dist = np.ascontiguousarray(g.dist, dtype=np.int64)
     root = np.zeros((1, 1), dtype=np.int64)
-    return _backend._extension_levels(dist, root, root, depth, 1, max_states)
+    return exhaustive_walk._extension_levels(dist, root, root, depth, 1, max_states)
+
+
+def all_roots_walk(g, depth, max_states):
+    """The exhaustive reference walk from all n*n one-point maps: every
+    partial isometry of up to depth points."""
+    n = g.n
+    dist = np.ascontiguousarray(g.dist, dtype=np.int64)
+    doms, imgs = np.repeat(np.arange(n), n)[:, None], np.tile(np.arange(n), n)[:, None]
+    return exhaustive_walk._extension_levels(dist, doms, imgs, depth, 1, max_states)
 
 
 @pytest.mark.parametrize(
@@ -474,12 +474,14 @@ def zero_root_walk(g, depth, max_states):
     ids=[f"{c[0]}-d{c[2]}" if c[2] else f"{c[0]}-relabelled" for c in FORCED_CASES],
 )
 def test_forced_rows_match_the_oracle(name, build, depth, monkeypatch):
-    # Every row the kernel hands the forced-extension cut, on every level
-    # it grows, is cut exactly when the oracle finds a forced automorphism
-    # and the row has children to skip (its domain ends before n-1).
+    # Every row the exhaustive reference hands its forced-extension cut,
+    # on every level it grows, is cut exactly when the oracle finds a
+    # forced automorphism and the row has children to skip (its domain
+    # ends before n-1).  The small cases walk from all n*n roots up to
+    # depth, the relabelled workload graphs from 0->0 at full depth.
     g = build()
     dist = [list(map(int, row)) for row in g.dist]
-    real = _backend._forced_automorphisms
+    real = exhaustive_walk._forced_automorphisms
     seen = {"rows": 0, "cut": 0}
 
     def spy(d, doms, match):
@@ -494,15 +496,13 @@ def test_forced_rows_match_the_oracle(name, build, depth, monkeypatch):
         seen["cut"] += len(cut)
         return np.array(sorted(cut), dtype=np.int64)
 
-    monkeypatch.setattr(_backend, "_forced_automorphisms", spy)
+    monkeypatch.setattr(exhaustive_walk, "_forced_automorphisms", spy)
     if depth is None:
         _, forced, witness = zero_root_walk(g, g.n - 1, DEFAULT_STATE_BUDGET)
-        homogeneous = witness is None
     else:
-        res = is_metrically_homogeneous(g, max_depth=depth)
-        forced, homogeneous = res.forced, res.homogeneous
+        _, forced, witness = all_roots_walk(g, depth, DEFAULT_STATE_BUDGET)
     assert forced == seen["cut"]
-    if depth is None and homogeneous:
+    if depth is None and witness is None:
         assert seen["rows"] > 0
 
 
@@ -517,7 +517,7 @@ def test_forced_rows_match_the_oracle(name, build, depth, monkeypatch):
 )
 def test_forced_rows_are_cut_only_at_automorphisms(edges, dom, img, cut):
     # Every vertex has one candidate in each case, but only the first F
-    # keeps every distance.  No kernel walk in this suite meets a forced
+    # keeps every distance.  No reference walk in this suite meets a forced
     # map like the last two, so the cut is checked on them directly.
     g = from_edge_list(edges)
     dist = np.ascontiguousarray(g.dist, dtype=np.int64)
@@ -527,30 +527,27 @@ def test_forced_rows_are_cut_only_at_automorphisms(edges, dom, img, cut):
     assert (match.sum(axis=2) == 1).all()
     want = oracles.forced_extension([list(map(int, r)) for r in dist], dom, img)
     assert (want is not None) == cut
-    got = _backend._forced_automorphisms(dist, np.array([dom]), match)
+    got = exhaustive_walk._forced_automorphisms(dist, np.array([dom]), match)
     assert got.tolist() == ([0] if cut else [])
 
 
-def test_homogeneity_budget_bounds_memory():
-    # The level kernel from 0->0 on J(6,3) at full depth is far over this
-    # budget.  Maps of up to 4 points fit in it and 5-point maps do not,
-    # so no row held has more than 5 points; the level that would cross
-    # the budget is never built, and the peak stays within the budget's
-    # rows (two int64 arrays) plus one block's scratch.
-    g = johnson_graph(6, 3)
-    max_states = 100_000
-    assert zero_root_walk(g, 4, max_states)[0] < max_states
-    bound = max_states * 5 * 16 + 4 * _CHUNK * g.n * g.n
+@pytest.mark.parametrize(
+    "build", [lambda: complete_multipartite([12, 12]), lambda: crown_graph(12)],
+    ids=["K12,12", "crown12"],
+)
+def test_homogeneity_memory_is_cubic_in_n(build):
+    # The tree holds one node's walks and a stack of at most n children
+    # on each of n levels, so its peak is set by n and not by its 11,497
+    # and 5,425 states (both peak near 27 n^3 bytes).
+    g = build()
     tracemalloc.start()
-    t0 = time.perf_counter()
     try:
-        with pytest.raises(BudgetError):
-            zero_root_walk(g, g.n - 1, max_states)
+        res = is_metrically_homogeneous(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert time.perf_counter() - t0 < 5.0
-    assert peak < bound
+    assert res.homogeneous
+    assert peak < 64 * g.n**3
 
 
 def test_homogeneous_catalog_members():
@@ -565,11 +562,13 @@ def test_icosahedron_is_homogeneous():
     assert res.complete
     # pinned search statistic: 1 + 11 walks of 11 steps at the root, then
     # 2 * 4 walks of 10 steps below it, 4 * 2 of 9 below a neighbour of
-    # 0 and 2 * 2 of 9 below a vertex at distance 2; the level kernel
-    # from 0->0 (with its forced-extension cut) built 774 states
+    # 0 and 2 * 2 of 9 below a vertex at distance 2; the exhaustive walk
+    # from 0->0 (with its forced-extension cut) builds 653 states
     assert res.states == 256
-    assert res.forced == 0
-    assert json.loads(res.to_json())["forced"] == 0
+    assert json.loads(res.to_json()) == {
+        "automorphisms": 11, "complete": True, "homogeneous": True,
+        "states": 256, "witness": None,
+    }
 
 
 @pytest.mark.parametrize(
@@ -584,10 +583,11 @@ def test_icosahedron_is_homogeneous():
     ids=["crown5", "K333", "rook3", "C9", "rook4"],
 )
 def test_search_statistics_are_pinned(build, states, witness):
-    # canonical labels; the level kernel from 0->0 built 4,068, 14,514,
-    # 378, 82 and 31,328 states on these graphs
+    # canonical labels; the exhaustive walk from 0->0 (with its
+    # forced-extension cut) builds 3,987, 14,450, 314, 18 and 31,103
+    # states on these graphs
     res = is_metrically_homogeneous(build())
-    assert (res.states, res.forced, res.witness) == (states, 0, witness)
+    assert (res.states, res.witness) == (states, witness)
     assert res.homogeneous == (witness is None)
 
 
@@ -658,7 +658,7 @@ def test_prefix_tree_proofs_are_pinned(build, states):
     g = build()
     res = is_metrically_homogeneous(g)
     assert res.homogeneous and res.complete
-    assert (res.states, res.automorphisms, res.forced) == (states, g.n - 1, 0)
+    assert (res.states, res.automorphisms) == (states, g.n - 1)
 
 
 @pytest.mark.parametrize(
@@ -678,15 +678,6 @@ def test_prefix_tree_refutations_are_pinned(build, states, witness):
     assert not res.homogeneous
     assert (res.states, res.witness) == (states, witness)
     validate_homogeneity_witness(g, res.witness)
-
-
-def all_roots_walk(g, depth, max_states):
-    """The level kernel from all n*n one-point maps: every partial
-    isometry of up to depth points, the exhaustive reference."""
-    n = g.n
-    dist = np.ascontiguousarray(g.dist, dtype=np.int64)
-    doms, imgs = np.repeat(np.arange(n), n)[:, None], np.tile(np.arange(n), n)[:, None]
-    return _backend._extension_levels(dist, doms, imgs, depth, 1, max_states)
 
 
 def random_connected_graphs(count, seed):
@@ -752,23 +743,35 @@ def test_prefix_tree_matches_the_exhaustive_walk(family, undecided, oracle_n):
     assert len(graphs) - over >= 60
 
 
-def test_homogeneity_depth_certificates():
-    j = johnson_graph(6, 3)
-    res = is_metrically_homogeneous(j, max_depth=3)
-    assert res.homogeneous
-    assert res.depth == 3
-    assert not res.complete
-    blob = json.loads(res.to_json())
-    assert blob["complete"] is False
-
-
 def test_homogeneity_budget_and_cap():
     # crown:10 takes 2,666 states; the icosahedron takes 256
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="passed 1000 states on 20 vertices; raise max_states$"):
         is_metrically_homogeneous(crown_graph(10), max_states=1000)
     assert is_metrically_homogeneous(icosahedron(), max_states=1000).homogeneous
     with pytest.raises(BudgetError):
         is_metrically_homogeneous(johnson_graph(7, 2), cap=20)  # 21 > cap
+
+
+BAD_COUNTS = ["x", None, True, False, 2.5, 0, -5]
+
+
+@pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
+@pytest.mark.parametrize("name", ["cap", "max_states"])
+def test_homogeneity_bounds_must_be_positive_ints(name, value):
+    with pytest.raises(InvalidInputError, match=name):
+        is_metrically_homogeneous(icosahedron(), **{name: value})
+    with pytest.raises(InvalidInputError, match=name):
+        complement_twist(cycle_graph(5), **{name: value})
+
+
+@pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
+def test_cover_search_checks_max_states_first(value):
+    # no candidate over C6 reaches the search, so only the entry check
+    # can refuse the value
+    with pytest.raises(InvalidInputError, match="max_states"):
+        find_antipodal_cover(cycle_graph(6), max_states=value)
+    with pytest.raises(InvalidInputError, match="max_states"):
+        find_antipodal_cover(cycle_graph(5), max_states=value)
 
 
 # ---------------------------------------------------------------------------
@@ -1322,15 +1325,15 @@ def test_cover_grade_checks_every_neighborhood_of_an_intransitive_cover(max_stat
     paw = from_edge_list("0 1\n0 2\n1 2\n2 3\n")
     edge = FiniteMetricGraph([[0, 1], [1, 0]])
     assert finite_graphs._locally_base(paw, edge, [0])
-    assert finite_graphs._grade_cover(paw, edge, None, max_states) == (False, None)
+    assert finite_graphs._grade_cover(paw, edge, max_states) == (False, None)
 
 
 def test_cover_grade_budget_error_stands_when_every_neighborhood_passes():
     triangle, edge = cycle_graph(3), FiniteMetricGraph([[0, 1], [1, 0]])
-    local, hom = finite_graphs._grade_cover(triangle, edge, None, DEFAULT_STATE_BUDGET)
+    local, hom = finite_graphs._grade_cover(triangle, edge, DEFAULT_STATE_BUDGET)
     assert local and hom.homogeneous and hom.automorphisms == 2
     with pytest.raises(BudgetError):
-        finite_graphs._grade_cover(triangle, edge, None, 1)
+        finite_graphs._grade_cover(triangle, edge, 1)
 
 
 def test_double_cover_constructor_properties():
