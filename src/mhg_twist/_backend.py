@@ -73,7 +73,11 @@ States.  The search counts one state for the result and one per walk
 step, all against one budget; a node's walks are checked against it
 before they start.  A node's arrays hold n entries per pair of walk
 and vertex, and the stack holds at most n children per level on at
-most n levels, so memory grows as n³ whatever the number of states.
+most n levels.  A child on the stack holds its parent's n×n matrix of
+the pairs at the same distances from the prefix and narrows it by one
+AND when popped, so the matrices alive lie along one path, at most n
+of them; with the search's one table of d(x, b) = e, memory grows as
+n³ whatever the number of states.
 """
 
 from __future__ import annotations
@@ -92,52 +96,45 @@ def _budget_error(max_states: int, n: int) -> BudgetError:
     )
 
 
-def _walks(dist, prefix, roots, targets, states, max_states):
-    """Greedy walks from prefix↦prefix, roots[w]↦targets[w], in lockstep.
+def _walks(dist, at, same, prefix, doms, targets, states, max_states):
+    """Greedy walks from prefix↦prefix, doms[w, 0]↦targets[w], in lockstep.
 
-    Walk w extends its map over the vertices outside prefix and
-    roots[w] in increasing order, giving each the first image that
-    keeps its distances to the domain.  Each walk's step is one state,
-    and the budget is checked for all the steps before the first.
-    cand[p, w, b] says b keeps the distances from the p-th vertex that
-    walk w has still to place to its map so far: each step places the
-    first and narrows the rest with one comparison against the new
-    image.  When the candidates force every walk's remaining images
-    and those keep every distance (_resolved), the walks finish at once
-    and their remaining steps count as states (see Early finish).
-    Returns (states, None) when every walk completes, else
-    (states, (doms, imgs, stuck)) for the first walk stuck at the first
-    step where any is.
+    doms[w] holds the vertices outside prefix: walk w's root, then the
+    rest in increasing order.  Walk w extends its map over the rest in
+    that order, giving each the first image that keeps its distances to
+    the domain.  Each walk's step is one state, and the budget is
+    checked for all the steps before the first.  at[x, e, b] says
+    d(x, b) = e, and same[a, b] that a and b are at the same distances
+    from every prefix point.  cand[p, w, b] says b keeps the distances
+    from the p-th vertex that walk w has still to place to its map so
+    far: each step places the first and narrows the rest with one
+    comparison against the new image.  When the candidates force every
+    walk's remaining images and those keep every distance (_resolved),
+    the walks finish at once and their remaining steps count as states
+    (see Early finish).  Returns (states, None) when every walk
+    completes, else (states, (doms, imgs, stuck)) for the first walk
+    stuck at the first step where any is, prefix included.
     """
-    n = dist.shape[0]
-    w, k = roots.size, len(prefix)
-    if states + w * (n - k - 1) > max_states:
-        raise _budget_error(max_states, n)
-    free = np.delete(np.arange(n), prefix)
-    # row w: the vertices outside prefix and roots[w], in increasing order
-    rest = free[None, :].repeat(w, axis=0)[free[None, :] != roots[:, None]]
-    fixed = np.array(prefix, dtype=np.int64)[None, :].repeat(w, axis=0)
-    doms = np.concatenate([fixed, roots[:, None], rest.reshape(w, -1)], axis=1)
-    imgs = np.concatenate([fixed, targets[:, None], np.zeros((w, n - k - 1), np.int64)], axis=1)
+    w, m = doms.shape
+    if states + w * (m - 1) > max_states:
+        raise _budget_error(max_states, dist.shape[0])
+    imgs = np.empty_like(doms)
+    imgs[:, 0] = targets
     # want[i, p, w]: the distance between walk w's i-th and p-th vertices
     want = dist[doms.T[:, None, :], doms.T[None, :, :]]
-    # at[x, e, b]: d(x, b) = e, so at[imgs[w, i], want[i, p, w]] holds
-    # the images that keep the p-th vertex's distance to the i-th
-    at = dist[:, None, :] == np.arange(dist.max() + 1)[None, :, None]
     # every walk fixes the prefix, so b keeps the distances to it when
     # it is at the same distances from it as the vertex
-    keys = dist[list(prefix)]
-    cand = (keys[:, :, None] == keys[:, None, :]).all(axis=0)[doms[:, k + 1 :].T]
-    cand &= at[targets, want[k, k + 1 :]]
-    for j in range(k + 1, n):
-        if np.count_nonzero(cand) == w * (n - j) and _resolved(dist, imgs, want, cand, j):
-            return states + w * (n - j), None
+    cand = same[doms[:, 1:].T]
+    cand &= at[targets, want[0, 1:]]
+    for j in range(1, m):
+        if np.count_nonzero(cand) == w * (m - j) and _resolved(dist, imgs, want, cand, j):
+            return states + w * (m - j), None
         states += w
         fits = cand[0]
         found = fits.any(axis=1)
         if not found.all():
             s = int(np.argmin(found))
-            witness = tuple(int(v) for v in doms[s, :j]), tuple(int(v) for v in imgs[s, :j])
+            witness = prefix + tuple(doms[s, :j].tolist()), prefix + tuple(imgs[s, :j].tolist())
             return states, (*witness, int(doms[s, j]))
         imgs[:, j] = fits.argmax(axis=1)
         cand = cand[1:]
@@ -146,12 +143,16 @@ def _walks(dist, prefix, roots, targets, states, max_states):
 
 
 def _resolved(dist, imgs, want, cand, j):
-    """Whether each walk's first candidates from position j on keep every distance.
+    """Whether each walk's positions j.. have one candidate each, which keep every distance.
 
-    The caller has counted w·(n−j) candidates for the positions j..,
-    one per position if this holds.  Fills imgs[:, j:] with the first
-    candidates, which the steps overwrite when it does not.
+    The caller has counted w·(m−j) candidates for the positions j..,
+    so one each when no position has none.  Every candidate keeps the
+    distances to the prefix, so only the positions past it are
+    compared.  Fills imgs[:, j:] with the first candidates, which the
+    steps overwrite when this does not hold.
     """
+    if not cand.any(axis=2).all():
+        return False
     imgs[:, j:] = cand.argmax(axis=2).T
     return bool((dist[imgs.T[:, None, :], imgs.T[None, :, :]] == want).all())
 
@@ -159,42 +160,56 @@ def _resolved(dist, imgs, want, cand, j):
 def _prefix_tree(dist, states, max_states):
     """Run every node's walks, depth first; stop at the first stuck walk.
 
-    A node is (prefix, allowed, cls): allowed is sorted and cls[i] is
-    the class of allowed[i], numbered by least member.  Returns
-    (states, automorphisms, witness): automorphisms is n-1 when the
-    root's walks complete and 0 when one of them is stuck, and witness
-    is None when every walk completes.
+    A node is (prefix, allowed, cls, above): allowed is a sorted list,
+    cls[i] is the class of allowed[i], numbered by least member, and
+    above is the parent's same-distance matrix (all True at the root),
+    which the node narrows by its last prefix point.  Returns (states,
+    automorphisms, witness): automorphisms is n-1 when the root's walks
+    complete and 0 when one of them is stuck, and witness is None when
+    every walk completes.
     """
     n = dist.shape[0]
-    stack = [((), np.arange(n), np.zeros(n, np.int64))]
+    at = dist[:, None, :] == np.arange(dist.max() + 1)[None, :, None]
+    # lift[q]: q, then 0..n-1 without q, so free[lift[q, :m]] puts free[q] first
+    t = np.arange(n)
+    lift = t - ((t > 0) & (t <= t[:, None]))
+    lift[:, 0] = t
+    stack = [((), list(range(n)), [0] * n, np.ones((n, n), dtype=bool))]
     while stack:
-        prefix, allowed, cls = stack.pop()
-        sizes = np.bincount(cls)
-        # classes are numbered in order of least member, so a vertex is
-        # its class's least member when its class passes every earlier one
-        firsts = np.flatnonzero(cls > np.maximum.accumulate(np.concatenate([[-1], cls[:-1]])))
-        roots = allowed[firsts]
-        # every non-least member of a class with two or more members
-        others = np.ones(allowed.size, dtype=bool)
-        others[firsts] = False
-        others &= sizes[cls] > 1
-        if not others.any():
+        prefix, allowed, cls, above = stack.pop()
+        # roots[c]: class c's least member; split: the classes with two or more
+        roots, split, walk_roots, targets = [], set(), [], []
+        for v, c in zip(allowed, cls):
+            if c == len(roots):
+                roots.append(v)
+            else:
+                split.add(c)
+                walk_roots.append(roots[c])
+                targets.append(v)
+        if not targets:
             continue
+        same = above & at[prefix[-1], dist[prefix[-1]]] if prefix else above
+        free = np.array([v for v in range(n) if v not in prefix])
+        doms = free[lift[np.searchsorted(free, walk_roots), : free.size]]
         states, witness = _walks(
-            dist, prefix, roots[cls[others]], allowed[others], states, max_states
+            dist, at, same, prefix, doms, np.array(targets), states, max_states
         )
         if witness is not None:
             return states, (n - 1 if prefix else 0), witness
         children = []
-        for c in np.flatnonzero(sizes > 1):
+        for c in sorted(split):
             r = roots[c]
-            keep = (cls >= c) & (allowed != r)
-            sub = allowed[keep]
-            # refine the kept classes by distance to r, renumbered by least member
-            ids = {}
-            key = (cls[keep] * n + dist[sub, r]).tolist()
-            sub_cls = np.array([ids.setdefault(k, len(ids)) for k in key], dtype=np.int64)
-            children.append((prefix + (int(r),), sub, sub_cls))
+            i = allowed.index(r) + 1
+            # the later classes' members all follow r; refine them by
+            # distance to r, renumbered by least member
+            sub, sub_cls, ids, row = [], [], {}, dist[r].tolist()
+            for v, k in zip(allowed[i:], cls[i:]):
+                if k >= c:
+                    sub.append(v)
+                    sub_cls.append(ids.setdefault(k * n + row[v], len(ids)))
+            # a child whose classes are all singletons has no walks
+            if len(ids) < len(sub):
+                children.append((prefix + (r,), sub, sub_cls, same))
         stack.extend(reversed(children))
     return states, n - 1, None
 

@@ -591,18 +591,6 @@ def complement_twist(
     )
 
 
-def antipodal_double_cover(g: FiniteMetricGraph) -> FiniteMetricGraph:
-    """Two copies of the graph, cross edges between distinct non-neighbors.
-
-    Vertex (u, layer) is u + layer * n.  Within a layer the base
-    adjacency is kept; (u, 0) joins (v, 1) exactly when u != v and u is
-    not adjacent to v.
-    """
-    if not isinstance(g, FiniteMetricGraph):
-        raise InvalidInputError(f"expected a FiniteMetricGraph, got {type(g).__name__}")
-    return _cover_candidate(g, "layered-complement")
-
-
 @dataclass(frozen=True)
 class CoverCandidate:
     """One candidate construction graded by the cover search."""
@@ -663,39 +651,21 @@ class CoverSearchReport:
         )
 
 
-# Candidate constructions.  The layered rules stack two copies of the
-# base and wire the layers by the matching, the adjacency, or its
-# complement.  The named graphs cover the cases where the true cover
-# is no layered assembly at all.
-_COVER_RULES = (
-    "layered-matching",
-    "layered-adjacency",
-    "layered-complement",
-    "icosahedron",
-    "johnson-6-3",
-)
+# Candidate constructions.  The layered rule stacks two copies of the
+# base and joins each vertex to its neighbours' copies in the other
+# layer.  The named graphs cover the cases where the true cover is no
+# layered assembly at all.
+_COVER_RULES = ("layered-adjacency", "icosahedron", "johnson-6-3")
 
 
 def _cover_candidate(g: FiniteMetricGraph, rule: str) -> FiniteMetricGraph:
-    n = g.n
     if rule == "icosahedron":
         return icosahedron()
     if rule == "johnson-6-3":
         return johnson_graph(6, 3)
-    if rule == "layered-matching":
-        cross = np.eye(n, dtype=bool)
-    elif rule == "layered-adjacency":
-        cross = g.adjacency.copy()
-    elif rule == "layered-complement":
-        cross = ~g.adjacency & ~np.eye(n, dtype=bool)
-    else:
+    if rule != "layered-adjacency":
         raise InvalidInputError(f"unknown cover rule {rule!r}")
-    adj = np.zeros((2 * n, 2 * n), dtype=bool)
-    adj[:n, :n] = g.adjacency
-    adj[n:, n:] = g.adjacency
-    adj[:n, n:] = cross
-    adj[n:, :n] = cross.T
-    return FiniteMetricGraph(adj)
+    return FiniteMetricGraph(np.tile(g.adjacency, (2, 2)))
 
 
 def _locally_base(cover: FiniteMetricGraph, base: FiniteMetricGraph, vertices) -> bool:

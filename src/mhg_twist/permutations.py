@@ -253,7 +253,7 @@ def parse_cycles(text: str, delta: int) -> Twist:
 
 
 def _check_delta(delta, low):
-    if not isinstance(delta, int) or not low <= delta <= MAX_DELTA:
+    if isinstance(delta, bool) or not isinstance(delta, int) or not low <= delta <= MAX_DELTA:
         raise InvalidDiameterError(
             f"delta must be an integer in {low}..{MAX_DELTA}, got {delta!r}"
         )

@@ -149,20 +149,37 @@ class TriangleSet:
         return cls.from_triples(delta, triples)
 
 
-@lru_cache(maxsize=65536)
-def _rank_permutation_cached(delta: int, images: tuple) -> np.ndarray:
-    tabs = _tables(delta)
-    # entry 0 pads the images so that a distance indexes its own image
-    imgs = np.array((0,) + images, dtype=np.int64)
-    t0, t1, t2 = tabs.triples.T
-    ranks = tabs.rank3d[imgs[t0], imgs[t1], imgs[t2]]
-    ranks.setflags(write=False)
-    return ranks
+#: bytes of rank tables kept for reuse, the oldest dropped first; room
+#: for the about 1,400 tables (2.8 MB, delta <= 25) that a stream of
+#: single catalog checks and twisted-metric grades builds
+RANK_CACHE_BYTES = 8 << 20
+
+
+class _RankTables(dict):
+    """Rank tables by twist images, built on a miss, within RANK_CACHE_BYTES."""
+
+    nbytes = 0
+
+    def __missing__(self, images):
+        tabs = _tables(len(images))
+        # entry 0 pads the images so that a distance indexes its own image
+        imgs = np.array((0,) + images, dtype=np.int64)
+        t0, t1, t2 = tabs.triples.T
+        ranks = tabs.rank3d[imgs[t0], imgs[t1], imgs[t2]]
+        ranks.setflags(write=False)
+        self.nbytes += ranks.nbytes
+        while self and self.nbytes > RANK_CACHE_BYTES:
+            self.nbytes -= self.pop(next(iter(self))).nbytes
+        self[images] = ranks
+        return ranks
+
+
+_rank_tables = _RankTables()
 
 
 def rank_permutation(twist: Twist) -> np.ndarray:
     """rank -> rank map induced on sorted triples by a twist."""
-    return _rank_permutation_cached(twist.delta, twist.images)
+    return _rank_tables[twist.images]
 
 
 def image_set(tset: TriangleSet, twist: Twist) -> TriangleSet:
@@ -208,10 +225,10 @@ def gamma_diameter(tset: TriangleSet, i: int) -> int:
 
 def fiber_distances(tset: TriangleSet, i: int) -> list[int]:
     """All k with (i, i, k) in the set, ascending."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise InvalidInputError(f"i must be an integer, got {i!r}")
     if not 1 <= i <= tset.delta:
         raise OutOfAlphabetError(f"i={i!r} not in 1..{tset.delta}")
-    if not isinstance(i, (int, np.integer)):
-        raise InvalidInputError(f"i must be an integer, got {i!r}")
     ks = np.arange(1, tset.delta + 1)
     ranks = _tables(tset.delta).rank3d[ks, i, i]
     return ks[tset.to_bool_array()[ranks]].tolist()
@@ -231,7 +248,7 @@ def _rank_of(delta, triple) -> int:
 
 
 def _check_delta(delta):
-    if not isinstance(delta, int) or not 1 <= delta <= MAX_DELTA:
+    if isinstance(delta, bool) or not isinstance(delta, int) or not 1 <= delta <= MAX_DELTA:
         raise InvalidInputError(
             f"delta must be an integer in 1..{MAX_DELTA}, got {delta!r}"
         )

@@ -11,20 +11,17 @@ import numpy as np
 from mhg_twist._backend import _budget_error
 
 
-def stepwise_walks(dist, prefix, roots, targets, states, max_states):
-    """Greedy walks from prefix↦prefix, roots[w]↦targets[w], in lockstep.
+def stepwise_walks(dist, at, same, prefix, doms, targets, states, max_states):
+    """Greedy walks from prefix↦prefix, doms[w, 0]↦targets[w], in lockstep.
 
-    Same arguments and result as _backend._walks.
+    Same arguments and result as _backend._walks; at and same are unused.
     """
     n = dist.shape[0]
-    w, k = roots.size, len(prefix)
+    w, k = doms.shape[0], len(prefix)
     if states + w * (n - k - 1) > max_states:
         raise _budget_error(max_states, n)
-    free = np.delete(np.arange(n), prefix)
-    # row w: the vertices outside prefix and roots[w], in increasing order
-    rest = free[None, :].repeat(w, axis=0)[free[None, :] != roots[:, None]]
     fixed = np.array(prefix, dtype=np.int64)[None, :].repeat(w, axis=0)
-    doms = np.concatenate([fixed, roots[:, None], rest.reshape(w, -1)], axis=1)
+    doms = np.concatenate([fixed, doms], axis=1)
     imgs = np.concatenate([fixed, targets[:, None], np.zeros((w, n - k - 1), np.int64)], axis=1)
     for j in range(k + 1, n):
         a = doms[:, j]

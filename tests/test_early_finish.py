@@ -68,12 +68,14 @@ def both_searches(g, monkeypatch):
     return got, want
 
 
-@pytest.mark.parametrize(
-    "family",
+FAMILIES = (
     [pytest.param(lambda n=n: random_graphs(n), id=f"random{n}") for n in range(3, 15)]
     + [pytest.param(lambda n=n: circulants(n), id=f"circulants{n}") for n in range(5, 19)]
-    + [pytest.param(lambda: NAMED, id="named")],
+    + [pytest.param(lambda: NAMED, id="named")]
 )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_early_finish_matches_the_stepwise_walk(family, monkeypatch):
     # (ok, states, automorphisms, witness) of the whole search
     for g in family():
@@ -112,3 +114,17 @@ def test_a_forced_map_that_is_no_automorphism_steps_on(monkeypatch):
     got, want = both_searches(FiniteMetricGraph([[0, 1, 1], [1, 0, 0], [1, 0, 0]]), monkeypatch)
     assert got == want == (False, 5, 0, ((0, 1), (1, 0), 2))
     assert finished == [False]
+
+
+def test_resolved_needs_a_candidate_for_every_vertex():
+    # K4 with prefix (0,) and the walk 1->1: vertex 2 has no candidate
+    # and vertex 3 two, so the count matches.  Sending 2 to vertex 0,
+    # the first index of its empty row, keeps every distance among the
+    # vertices outside the prefix but not the distance to the prefix.
+    dist = 1 - np.eye(4, dtype=np.int64)
+    doms = np.array([[1, 2, 3]])
+    imgs = np.array([[1, 0, 0]])
+    want = dist[doms.T[:, None, :], doms.T[None, :, :]]
+    cand = np.array([[[False, False, False, False]], [[False, False, True, True]]])
+    assert np.count_nonzero(cand) == 2
+    assert not _backend._resolved(dist, imgs, want, cand, 1)

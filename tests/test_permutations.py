@@ -134,6 +134,15 @@ def test_small_deltas_rejected():
         tau(-1, 0)
 
 
+@pytest.mark.parametrize("bad", [True, False, None, "3", 3.0], ids=repr)
+def test_constructors_refuse_a_delta_that_is_no_integer(bad):
+    # identity(True) used to be the twist of delta 1
+    with pytest.raises(InvalidDiameterError):
+        identity(bad)
+    with pytest.raises(InvalidDiameterError):
+        rho(bad)
+
+
 def test_twist_validates_images():
     with pytest.raises(InvalidInputError):
         Twist((1, 1, 3))

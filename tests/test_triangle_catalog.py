@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,7 +26,8 @@ from mhg_twist import (
     rho_inverse,
     tau,
 )
-from mhg_twist.triangle_catalog import _tables, rank_permutation
+from mhg_twist import triangle_catalog
+from mhg_twist.triangle_catalog import RANK_CACHE_BYTES, _tables, rank_permutation
 
 
 @pytest.mark.parametrize("delta", range(1, 13))
@@ -222,3 +224,43 @@ def test_fiber_scans_validate_the_letter():
             gamma_diameter(ts, bad)
     with pytest.raises(InvalidInputError):
         fiber_distances(ts, 2.0)
+
+
+def test_rank_tables_stay_within_their_byte_budget():
+    # a delta = 40 table is 46 KB: kept by count, 1,000 one-off twists
+    # would hold 46 MB; the oldest go once RANK_CACHE_BYTES is reached
+    rng = random.Random(40)
+    first = rank_permutation(rho(40)).tolist()
+    tracemalloc.start()
+    try:
+        for _ in range(1000):
+            images = list(range(1, 41))
+            rng.shuffle(images)
+            rank_permutation(Twist(images))
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    kept = triangle_catalog._rank_tables
+    assert kept.nbytes == sum(t.nbytes for t in kept.values()) <= RANK_CACHE_BYTES
+    assert grown < RANK_CACHE_BYTES + (1 << 20)
+    # an evicted table is built again, the same
+    assert rank_permutation(rho(40)).tolist() == first
+
+
+@pytest.mark.parametrize("bad", ["a", None, True, False, 2.0], ids=repr)
+def test_fiber_scans_refuse_a_letter_that_is_no_integer(bad):
+    # a bool is no letter: True used to index as a mask
+    ts = TriangleSet.from_triples(4, [(1, 2, 2)])
+    with pytest.raises(InvalidInputError):
+        fiber_distances(ts, bad)
+    with pytest.raises(InvalidInputError):
+        gamma_diameter(ts, bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, None, "3", 3.0], ids=repr)
+def test_catalog_refuses_a_delta_that_is_no_integer(bad):
+    # all_triples(True) used to be the one triple (1, 1, 1)
+    with pytest.raises(InvalidInputError):
+        all_triples(bad)
+    with pytest.raises(InvalidInputError):
+        TriangleSet.from_triples(bad, [])
