@@ -27,11 +27,10 @@ from test_census import cayley_graphs, multiplier_classes
 from test_early_finish import FAMILIES
 
 
-def assert_same_search(graphs, max_states=None):
+def assert_same_search(graphs):
     for g in graphs:
         dist = np.ascontiguousarray(g.dist, dtype=np.int64)
-        budget = {} if max_states is None else {"max_states": max_states}
-        assert homogeneity_search(dist, **budget) == reference_search(dist, **budget), g.edges()
+        assert homogeneity_search(dist) == reference_search(dist), g.edges()
 
 
 @pytest.mark.parametrize("family", FAMILIES)
