@@ -137,7 +137,7 @@ def crown_graph(m: int) -> FiniteMetricGraph:
 def complete_multipartite(sizes) -> FiniteMetricGraph:
     """Complete multipartite graph; edge exactly between different parts."""
     parts = list(sizes)
-    if not parts or any(not isinstance(s, int) or s < 1 for s in parts):
+    if not parts or any(isinstance(s, bool) or not isinstance(s, int) or s < 1 for s in parts):
         raise InvalidInputError(f"part sizes must be positive integers: {sizes!r}")
     n = sum(parts)
     label = np.repeat(np.arange(len(parts)), parts)
@@ -178,7 +178,7 @@ def icosahedron() -> FiniteMetricGraph:
 
 def johnson_graph(m: int, t: int) -> FiniteMetricGraph:
     """t-subsets of an m-set, adjacent when they share t-1 elements."""
-    if not isinstance(m, int) or not isinstance(t, int) or not 1 <= t < m:
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (m, t)) or not 1 <= t < m:
         raise InvalidInputError(f"need integers 1 <= t < m, got t={t!r}, m={m!r}")
     n = math.comb(m, t)
     if n > 512:
@@ -300,9 +300,10 @@ class HomogeneityResult:
     complete is always True, since the search decides maps of every
     size; the field stays for readers of the JSON.  witness on failure
     is (domain vertices, image vertices, vertex with no valid image).
-    automorphisms counts the root walks that ended in an automorphism,
-    one sending 0 to each other vertex: n-1 when they all complete, as
-    every proof of homogeneity needs, and 0 when one got stuck.
+    automorphisms counts the automorphisms sending 0 to each other
+    vertex that the root walks ended in, or transpositions where the
+    root class is one of twins, as in K_n: n-1 when they all complete,
+    as every proof of homogeneity needs, and 0 when one got stuck.
     """
 
     homogeneous: bool

@@ -359,3 +359,19 @@ def catalog_family(dist):
     if bipartite and diameter == 3 and all(2 * d == n - 2 for d in degrees):
         return "crown"
     return None
+
+
+def least_twins(dist):
+    """For each vertex v, the least of v and its twins.
+
+    Twins are two vertices at the same distance from every third vertex.
+    """
+    n = len(dist)
+    return [
+        next(
+            u
+            for u in range(n)
+            if u == v or all(dist[u][z] == dist[v][z] for z in range(n) if z not in (u, v))
+        )
+        for v in range(n)
+    ]

@@ -217,6 +217,11 @@ def test_degenerate_sizes_rejected():
         complete_multipartite([])
     with pytest.raises(InvalidInputError):
         rook_graph(1)
+    # a bool is an int to Python, but no size: [True, 2] is not K1,2
+    with pytest.raises(InvalidInputError):
+        complete_multipartite([True, 2])
+    with pytest.raises(InvalidInputError):
+        johnson_graph(4, True)
 
 
 def test_adjacency_validation():
@@ -536,7 +541,7 @@ def test_forced_rows_are_cut_only_at_automorphisms(edges, dom, img, cut):
 )
 def test_homogeneity_memory_is_cubic_in_n(build):
     # The tree holds one node's walks and a stack of at most n children
-    # on each of n levels, so its peak is set by n and not by its 11,497
+    # on each of n levels, so its peak is set by n and not by its 530
     # and 5,425 states (both peak near 27 n^3 bytes).
     g = build()
     tracemalloc.start()
@@ -574,7 +579,7 @@ def test_icosahedron_is_homogeneous():
     "build,states,witness",
     [
         (lambda: crown_graph(5), 196, None),
-        (lambda: complete_multipartite([3, 3, 3]), 204, None),
+        (lambda: complete_multipartite([3, 3, 3]), 100, None),
         (lambda: rook_graph(3), 131, None),
         (lambda: cycle_graph(9), 93, None),
         (lambda: rook_graph(4), 905, ((0, 1, 4, 10, 11), (0, 1, 4, 10, 14), 2)),
@@ -647,11 +652,13 @@ def dodecahedron():
         (lambda: crown_graph(10), 2666),
         (lambda: crown_graph(12), 5425),
         (lambda: johnson_graph(6, 3), 1244),
-        (lambda: complete_multipartite([4, 4, 4]), 751),
-        # without the class order this tree has over a million nodes
-        (lambda: complete_multipartite([12, 12]), 11497),
+        (lambda: complete_multipartite([4, 4, 4]), 192),
+        (lambda: complete_multipartite([12, 12]), 530),
+        # crown:11 labelled around Z_22: 46 nodes, and without the class
+        # order 258 nodes and 13,705 states
+        (lambda: circulant(22, range(1, 11, 2)), 3862),
     ],
-    ids=["crown8", "crown10", "crown12", "J63", "K444", "K12,12"],
+    ids=["crown8", "crown10", "crown12", "J63", "K444", "K12,12", "crown11-circulant"],
 )
 def test_prefix_tree_proofs_are_pinned(build, states):
     g = build()
@@ -1303,11 +1310,13 @@ def test_cover_grade_checks_every_neighborhood_of_an_intransitive_cover(max_stat
 
 
 def test_cover_grade_budget_error_stands_when_every_neighborhood_passes():
-    triangle, edge = cycle_graph(3), FiniteMetricGraph([[0, 1], [1, 0]])
-    local, hom = finite_graphs._grade_cover(triangle, edge, DEFAULT_STATE_BUDGET)
-    assert local and hom.homogeneous and hom.automorphisms == 2
+    # the icosahedron is locally C5 and has no twins, so its search
+    # walks from the root and passes a budget of one state
+    ico, pentagon = icosahedron(), cycle_graph(5)
+    local, hom = finite_graphs._grade_cover(ico, pentagon, DEFAULT_STATE_BUDGET)
+    assert local and hom.homogeneous and hom.automorphisms == 11
     with pytest.raises(BudgetError):
-        finite_graphs._grade_cover(triangle, edge, 1)
+        finite_graphs._grade_cover(ico, pentagon, 1)
 
 
 def test_rook_3_complement_double_cover_is_refuted():

@@ -1,16 +1,20 @@
 """The prefix tree against the tree as first written.
 
 _backend builds its distance table once per search, narrows each
-node's same-distance matrix from its parent's with one AND, and keeps
-a node's classes in plain Python.  The whole search must give the
-verdict, states, automorphisms and witness of tests/reference_tree.py,
-which rebuilds the table and the matrix for every node's walks and
-keeps the classes in numpy.
+node's same-distance matrix from its parent's with one AND, keeps a
+node's classes in plain Python, and gives a class of mutual twins no
+walks and no child.  On a graph without twins the whole search must
+give the verdict, states, automorphisms and witness of
+tests/reference_tree.py, which rebuilds the table and the matrix for
+every node's walks, keeps the classes in numpy and walks every class;
+on a graph with twins, the same verdict, automorphisms and witness in
+no more states.
 """
 
 import numpy as np
 import pytest
 
+import oracles
 from mhg_twist import (
     BudgetError,
     FiniteMetricGraph,
@@ -30,7 +34,13 @@ from test_early_finish import FAMILIES
 def assert_same_search(graphs):
     for g in graphs:
         dist = np.ascontiguousarray(g.dist, dtype=np.int64)
-        assert homogeneity_search(dist) == reference_search(dist), g.edges()
+        got, want = homogeneity_search(dist), reference_search(dist)
+        if oracles.least_twins(dist.tolist()) == list(range(g.n)):
+            assert got == want, g.edges()
+        else:
+            ok, states, automorphisms, witness = got
+            assert (ok, automorphisms, witness) == (want[0], want[2], want[3]), g.edges()
+            assert states <= want[1], g.edges()
 
 
 @pytest.mark.parametrize("family", FAMILIES)
