@@ -21,10 +21,7 @@ stuck.  When every walk completes, each ends in an automorphism that
 fixes P and sends r to x, so T is one orbit of the automorphisms that
 fix P, and T gets the child (P+(r,), the members of T and of every
 later class, minus r).  Children are searched depth first, in class
-order; singleton classes and classes of twins get no node.  The root's
-walks, or its transpositions when its class is one of twins (K_n),
-send 0 to every other vertex: the transversal whose size the search
-reports as automorphisms.
+order; singleton classes and classes of twins get no node.
 
 Why it is exact.  In a homogeneous space every partial isometry
 extends by one point, so no walk gets stuck, and a stuck walk's map is
@@ -77,14 +74,14 @@ to the domain and is a candidate, so each vertex has exactly one.  The
 greedy walk would take just F: its next vertex has one candidate, its
 image under F, and as F is an isometry each later vertex's image under
 F keeps its distance to that one too and stays its only candidate.  So
-verdicts, states, automorphisms and witnesses are those of the walk
-that places every vertex.  A count that matches while F is no isometry
-(a vertex with no candidate and another with two, or a forced map that
-is no bijection) lets the walks step on.  One candidate per vertex
-means the domain resolves the graph (a metric basis: Slater 1975;
-Harary & Melter 1976).  A resolving set holds all twins but one of
-each twin class (see Twins), so on graphs with large twin classes the
-walks seldom finish early.
+verdicts, states and witnesses are those of the walk that places every
+vertex.  A count that matches while F is no isometry (a vertex with no
+candidate and another with two, or a forced map that is no bijection)
+lets the walks step on.  One candidate per vertex means the domain
+resolves the graph (a metric basis: Slater 1975; Harary & Melter
+1976).  A resolving set holds all twins but one of each twin class
+(see Twins), so on graphs with large twin classes the walks seldom
+finish early.
 
 States.  The search counts one state for the result and one per walk
 step, all against one budget; a node's walks are checked against it
@@ -195,9 +192,7 @@ def _prefix_tree(dist, states, max_states):
     cls[i] is the class of allowed[i], numbered by least member, and
     above is the parent's same-distance matrix (all True at the root),
     which the node narrows by its last prefix point.  Returns (states,
-    automorphisms, witness): automorphisms is n-1 when the root's walks
-    complete and 0 when one of them is stuck, and witness is None when
-    every walk completes.
+    witness): witness is None when every walk completes.
     """
     n = dist.shape[0]
     at = dist[:, None, :] == np.arange(dist.max() + 1)[None, :, None]
@@ -233,7 +228,7 @@ def _prefix_tree(dist, states, max_states):
             dist, at, same, prefix, doms, np.array(targets), states, max_states
         )
         if witness is not None:
-            return states, (n - 1 if prefix else 0), witness
+            return states, witness
         children = []
         for c in sorted(split):
             r = roots[c]
@@ -249,18 +244,16 @@ def _prefix_tree(dist, states, max_states):
             if len(ids) < len(sub):
                 children.append((prefix + (r,), sub, sub_cls, same))
         stack.extend(reversed(children))
-    return states, n - 1, None
+    return states, None
 
 
 def homogeneity_search(dist, max_states: int = DEFAULT_STATE_BUDGET):
     """Run the one-point extension search over a distance matrix.
 
-    Returns (ok, states, automorphisms, witness): witness is None on
-    success and (doms, imgs, stuck_vertex) on failure; automorphisms is
-    the number of root walks that completed, n-1 when all of them did
-    and 0 when one got stuck.  Raises BudgetError when the state budget
-    runs out before an answer is reached.
+    Returns (ok, states, witness): witness is None on success and
+    (doms, imgs, stuck_vertex) on failure.  Raises BudgetError when the
+    state budget runs out before an answer is reached.
     """
     d = np.ascontiguousarray(dist, dtype=np.int64)
-    states, automorphisms, witness = _prefix_tree(d, 1, max_states)
-    return witness is None, states, automorphisms, witness
+    states, witness = _prefix_tree(d, 1, max_states)
+    return witness is None, states, witness

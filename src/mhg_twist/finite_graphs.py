@@ -37,6 +37,9 @@ from .triangle_catalog import (
 #: ordered vertex triples marked per block by _triples_of_matrix
 _TRIPLE_CHUNK = 1 << 16
 
+#: vertices a Johnson graph or a loaded graph file may have
+_MAX_VERTICES = 512
+
 
 def _bfs_all_pairs(adj: np.ndarray) -> np.ndarray:
     """BFS from every source at once, one matrix product per level.
@@ -181,8 +184,8 @@ def johnson_graph(m: int, t: int) -> FiniteMetricGraph:
     if any(isinstance(x, bool) or not isinstance(x, int) for x in (m, t)) or not 1 <= t < m:
         raise InvalidInputError(f"need integers 1 <= t < m, got t={t!r}, m={m!r}")
     n = math.comb(m, t)
-    if n > 512:
-        raise BudgetError(f"{n} subsets is over the 512-vertex budget")
+    if n > _MAX_VERTICES:
+        raise BudgetError(f"{n} subsets is over the {_MAX_VERTICES}-vertex budget")
     # member[s, x]: subset s holds x, subsets in lexicographic order
     member = np.zeros((n, m), dtype=np.int64)
     member[np.arange(n)[:, None], list(itertools.combinations(range(m), t))] = 1
@@ -298,19 +301,15 @@ class HomogeneityResult:
     """Outcome of the one-point extension search on one graph.
 
     complete is always True, since the search decides maps of every
-    size; the field stays for readers of the JSON.  witness on failure
-    is (domain vertices, image vertices, vertex with no valid image).
-    automorphisms counts the automorphisms sending 0 to each other
-    vertex that the root walks ended in, or transpositions where the
-    root class is one of twins, as in K_n: n-1 when they all complete,
-    as every proof of homogeneity needs, and 0 when one got stuck.
+    size; the field stays only because the benchmark in perfbench reads
+    it.  witness on failure is (domain vertices, image vertices, vertex
+    with no valid image).
     """
 
     homogeneous: bool
     states: int
     complete: bool
     witness: tuple[tuple[int, ...], tuple[int, ...], int] | None
-    automorphisms: int
 
     def __bool__(self) -> bool:
         return self.homogeneous
@@ -325,7 +324,6 @@ class HomogeneityResult:
             }
         return json.dumps(
             {
-                "automorphisms": self.automorphisms,
                 "homogeneous": self.homogeneous,
                 "states": self.states,
                 "complete": self.complete,
@@ -366,14 +364,8 @@ def is_metrically_homogeneous(
     _check_count("max_states", max_states)
     if g.n > cap:
         raise BudgetError(f"graph has {g.n} vertices, over the cap of {cap}")
-    ok, states, automorphisms, witness = homogeneity_search(g.dist, max_states=max_states)
-    return HomogeneityResult(
-        homogeneous=ok,
-        states=states,
-        complete=True,
-        witness=witness,
-        automorphisms=automorphisms,
-    )
+    ok, states, witness = homogeneity_search(g.dist, max_states=max_states)
+    return HomogeneityResult(homogeneous=ok, states=states, complete=True, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -528,88 +520,20 @@ def check_antipodal_law(g: FiniteMetricGraph) -> AntipodalReport:
 
 
 @dataclass(frozen=True)
-class ComplementReport:
-    """Swapping distances 1 and 2 on a diameter-2 graph, graded.
-
-    The swapped metric's unit graph is the complement.  twistable means
-    the swap yields the path metric of a connected complement that is
-    itself homogeneous.
-    """
-
-    connected: bool
-    valid_metric: bool
-    metric_matches: bool | None
-    graph: FiniteMetricGraph | None
-    homogeneity: HomogeneityResult | None
-    twistable: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "connected": self.connected,
-                "valid_metric": self.valid_metric,
-                "metric_matches": self.metric_matches,
-                "homogeneous": None
-                if self.homogeneity is None
-                else self.homogeneity.homogeneous,
-                "twistable": self.twistable,
-            },
-            sort_keys=True,
-        )
-
-
-def complement_twist(
-    g: FiniteMetricGraph,
-    cap: int = 24,
-    max_states: int = DEFAULT_STATE_BUDGET,
-) -> ComplementReport:
-    """Grade the 1<->2 distance swap on a diameter-2 graph."""
-    if not isinstance(g, FiniteMetricGraph):
-        raise InvalidInputError(f"expected a FiniteMetricGraph, got {type(g).__name__}")
-    _check_count("cap", cap)
-    _check_count("max_states", max_states)
-    if g.diameter != 2:
-        raise InvalidInputError(
-            f"the 1<->2 swap needs a diameter-2 graph, got diameter {g.diameter}"
-        )
-    report = apply_twist_metric(g, Twist((2, 1)))
-    if not report.unit_connected:
-        return ComplementReport(
-            connected=False, valid_metric=report.valid, metric_matches=None,
-            graph=None, homogeneity=None, twistable=False,
-        )
-    # the swap sends distance 2 to 1: its unit graph is the complement
-    h = FiniteMetricGraph(report.matrix == 1)
-    matches = bool((h.dist == report.matrix).all())
-    hom = is_metrically_homogeneous(h, cap=cap, max_states=max_states)
-    return ComplementReport(
-        connected=True,
-        valid_metric=report.valid,
-        metric_matches=matches,
-        graph=h,
-        homogeneity=hom,
-        twistable=report.valid and matches and hom.homogeneous,
-    )
-
-
-@dataclass(frozen=True)
 class CoverCandidate:
     """One candidate construction graded by the cover search."""
 
     rule: str
-    connected: bool
     n: int
-    diameter: int | None
+    diameter: int
     antipodal: bool
-    law_verdict: str | None
+    law_verdict: str
     locally_base: bool | None
     homogeneous: bool | None
-    homogeneity_complete: bool | None
 
     def accepted(self) -> bool:
         return (
-            self.connected
-            and self.diameter == 3
+            self.diameter == 3
             and self.antipodal
             and self.law_verdict == "holds"
             and bool(self.locally_base)
@@ -625,9 +549,6 @@ class CoverSearchReport:
     candidates: tuple[CoverCandidate, ...]
     winners: tuple[str, ...]
 
-    def graph_for(self, base: FiniteMetricGraph, rule: str) -> FiniteMetricGraph:
-        return _cover_candidate(base, rule)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -636,14 +557,12 @@ class CoverSearchReport:
                 "candidates": [
                     {
                         "rule": c.rule,
-                        "connected": c.connected,
                         "n": c.n,
                         "diameter": c.diameter,
                         "antipodal": c.antipodal,
                         "law_verdict": c.law_verdict,
                         "locally_base": c.locally_base,
                         "homogeneous": c.homogeneous,
-                        "homogeneity_complete": c.homogeneity_complete,
                     }
                     for c in self.candidates
                 ],
@@ -652,57 +571,14 @@ class CoverSearchReport:
         )
 
 
-# Candidate constructions.  The layered rule stacks two copies of the
-# base and joins each vertex to its neighbours' copies in the other
-# layer.  The named graphs cover the cases where the true cover is no
-# layered assembly at all.
-_COVER_RULES = ("layered-adjacency", "icosahedron", "johnson-6-3")
+#: candidate constructions, by rule name
+_COVER_RULES = {"icosahedron": icosahedron, "johnson-6-3": lambda: johnson_graph(6, 3)}
 
 
-def _cover_candidate(g: FiniteMetricGraph, rule: str) -> FiniteMetricGraph:
-    if rule == "icosahedron":
-        return icosahedron()
-    if rule == "johnson-6-3":
-        return johnson_graph(6, 3)
-    if rule != "layered-adjacency":
-        raise InvalidInputError(f"unknown cover rule {rule!r}")
-    return FiniteMetricGraph(np.tile(g.adjacency, (2, 2)))
-
-
-def _locally_base(cover: FiniteMetricGraph, base: FiniteMetricGraph, vertices) -> bool:
-    """Each of the given vertices' neighborhoods induces a copy of the base graph."""
-    for v in vertices:
-        neigh = np.flatnonzero(cover.adjacency[v])
-        if neigh.size != base.n:
-            return False
-        induced = cover.adjacency[np.ix_(neigh, neigh)]
-        if not is_isomorphic(induced, base):
-            return False
-    return True
-
-
-def _grade_cover(cover, base, max_states):
-    """(locally_base, homogeneity result) of one antipodal cover candidate.
-
-    Vertex 0's neighborhood is checked first and the homogeneity search
-    runs only when it passes.  The search's root walks, when they all
-    complete, end in automorphisms sending 0 to every other vertex, and
-    each carries 0's neighborhood onto that vertex's; only otherwise
-    are the other neighborhoods checked.  The result is None when the
-    candidate is not locally the base, as if the search never ran.
-    """
-    if not _locally_base(cover, base, [0]):
-        return False, None
-    rest = range(1, cover.n)
-    try:
-        hom = is_metrically_homogeneous(cover, cap=cover.n, max_states=max_states)
-    except BudgetError:
-        if _locally_base(cover, base, rest):
-            raise
-        return False, None
-    if hom.automorphisms < cover.n - 1 and not _locally_base(cover, base, rest):
-        return False, None
-    return True, hom
+def _locally_base(cover: FiniteMetricGraph, base: FiniteMetricGraph) -> bool:
+    """Vertex 0's neighborhood induces a copy of the base graph."""
+    neigh = np.flatnonzero(cover.adjacency[0])
+    return neigh.size == base.n and is_isomorphic(cover.adjacency[np.ix_(neigh, neigh)], base)
 
 
 def find_antipodal_cover(
@@ -711,50 +587,38 @@ def find_antipodal_cover(
 ) -> CoverSearchReport:
     """Search known constructions for an antipodal diameter-3 cover of g.
 
-    A candidate wins when it is connected of diameter 3, pairs off
-    antipodally with the reflected-distance law, induces a copy of the
-    base graph on every vertex neighborhood, and passes the
-    homogeneity search, so a winner is proved homogeneous (J(6,3), the
-    rook:3 cover, takes 1,244 states).  max_states bounds each
-    candidate's search; it must be a positive int, checked before any
-    candidate is built.  Only vertex 0's neighborhood is compared with
-    the base before the search: when the search's root walks all
-    complete, the cover is vertex-transitive and every neighborhood is
-    a copy of vertex 0's, so the others are compared only when a root
-    walk got stuck.  The report is the same as if every neighborhood
-    were compared first.
+    A candidate wins when it has diameter 3, pairs off antipodally with
+    the reflected-distance law, induces a copy of the base graph on
+    vertex 0's neighborhood, and passes the homogeneity search, so a
+    winner is proved homogeneous (J(6,3), the rook:3 cover, takes 1,244
+    states).  locally_base reads vertex 0 alone, and the search runs
+    only when it holds.  That decides the same winners as comparing
+    every neighborhood: a winner is homogeneous, so vertex-transitive,
+    and for each vertex some automorphism carries vertex 0's
+    neighborhood onto that vertex's.  max_states bounds each candidate's search; it must be a
+    positive int, checked before any candidate is built.
     """
     if not isinstance(g, FiniteMetricGraph):
         raise InvalidInputError(f"expected a FiniteMetricGraph, got {type(g).__name__}")
     _check_count("max_states", max_states)
     results = []
-    for rule in _COVER_RULES:
-        try:
-            cover = _cover_candidate(g, rule)
-        except DisconnectedGraphError:
-            results.append(
-                CoverCandidate(
-                    rule=rule, connected=False, n=2 * g.n, diameter=None,
-                    antipodal=False, law_verdict=None, locally_base=None,
-                    homogeneous=None, homogeneity_complete=None,
-                )
-            )
-            continue
+    for rule, build in _COVER_RULES.items():
+        cover = build()
         anti = check_antipodal_law(cover)
         local = hom = None
         if cover.diameter == 3 and anti.verdict == "holds":
-            local, hom = _grade_cover(cover, g, max_states)
+            local = _locally_base(cover, g)
+            if local:
+                hom = is_metrically_homogeneous(cover, cap=cover.n, max_states=max_states)
         results.append(
             CoverCandidate(
                 rule=rule,
-                connected=True,
                 n=cover.n,
                 diameter=cover.diameter,
                 antipodal=anti.antipodal,
                 law_verdict=anti.verdict,
                 locally_base=local,
                 homogeneous=None if hom is None else hom.homogeneous,
-                homogeneity_complete=None if hom is None else hom.complete,
             )
         )
     winners = tuple(c.rule for c in results if c.accepted())
@@ -786,6 +650,8 @@ def from_edge_list(text: str) -> FiniteMetricGraph:
     if not edges:
         raise InvalidInputError("edge list is empty")
     n = max(max(u, v) for u, v in edges) + 1
+    if n > _MAX_VERTICES:
+        raise BudgetError(f"edge list names {n} vertices, over the {_MAX_VERTICES}-vertex budget")
     adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         if u == v:
@@ -807,14 +673,19 @@ def from_adjacency_json(text: str) -> FiniteMetricGraph:
         edges = data["edges"]
     except (json.JSONDecodeError, TypeError, KeyError) as exc:
         raise InvalidInputError(f"bad graph JSON: {text[:80]!r}") from exc
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidInputError(f"bad vertex count {n!r}")
+    if n > _MAX_VERTICES:
+        raise BudgetError(f"{n} vertices is over the {_MAX_VERTICES}-vertex budget")
+    if not isinstance(edges, list):
+        raise InvalidInputError(f"edges must be a list, got {type(edges).__name__}")
     adj = np.zeros((n, n), dtype=bool)
     for e in edges:
         if (
             not isinstance(e, list)
             or len(e) != 2
-            or not all(isinstance(x, int) and 0 <= x < n for x in e)
+            # a bool is no vertex: numpy would read it as a mask
+            or not all(not isinstance(x, bool) and isinstance(x, int) and 0 <= x < n for x in e)
             or e[0] == e[1]
         ):
             raise InvalidInputError(f"bad edge {e!r}")
@@ -825,8 +696,11 @@ def from_adjacency_json(text: str) -> FiniteMetricGraph:
 
 def load_graph_file(path: str) -> FiniteMetricGraph:
     """Read a graph file: .json as adjacency JSON, anything else as edges."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read graph file: {exc}") from exc
     if path.endswith(".json"):
         return from_adjacency_json(text)
     return from_edge_list(text)

@@ -3,7 +3,7 @@
 Every _walks call rebuilds its distance table and the prefix's
 same-distance matrix, and every node keeps its classes in numpy arrays.
 The tests run reference_search beside _backend.homogeneity_search and
-expect the same verdicts, states, automorphisms and witnesses.
+expect the same verdicts, states and witnesses.
 """
 
 import numpy as np
@@ -80,9 +80,7 @@ def _prefix_tree(dist, states, max_states):
 
     A node is (prefix, allowed, cls): allowed is sorted and cls[i] is
     the class of allowed[i], numbered by least member.  Returns
-    (states, automorphisms, witness): automorphisms is n-1 when the
-    root's walks complete and 0 when one of them is stuck, and witness
-    is None when every walk completes.
+    (states, witness): witness is None when every walk completes.
     """
     n = dist.shape[0]
     stack = [((), np.arange(n), np.zeros(n, np.int64))]
@@ -103,7 +101,7 @@ def _prefix_tree(dist, states, max_states):
             dist, prefix, roots[cls[others]], allowed[others], states, max_states
         )
         if witness is not None:
-            return states, (n - 1 if prefix else 0), witness
+            return states, witness
         children = []
         for c in np.flatnonzero(sizes > 1):
             r = roots[c]
@@ -115,11 +113,11 @@ def _prefix_tree(dist, states, max_states):
             sub_cls = np.array([ids.setdefault(k, len(ids)) for k in key], dtype=np.int64)
             children.append((prefix + (int(r),), sub, sub_cls))
         stack.extend(reversed(children))
-    return states, n - 1, None
+    return states, None
 
 
 def reference_search(dist, max_states=DEFAULT_STATE_BUDGET):
-    """(ok, states, automorphisms, witness), as _backend.homogeneity_search."""
+    """(ok, states, witness), as _backend.homogeneity_search."""
     d = np.ascontiguousarray(dist, dtype=np.int64)
-    states, automorphisms, witness = _prefix_tree(d, 1, max_states)
-    return witness is None, states, automorphisms, witness
+    states, witness = _prefix_tree(d, 1, max_states)
+    return witness is None, states, witness

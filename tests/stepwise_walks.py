@@ -3,7 +3,7 @@
 This is the walk without the early finish: every walk places every
 vertex, comparing each new vertex's distances with the whole domain.
 The tests run the search with it in place of _backend._walks and
-expect the same verdicts, states, automorphisms and witnesses.
+expect the same verdicts, states and witnesses.
 """
 
 import numpy as np

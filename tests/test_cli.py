@@ -312,6 +312,42 @@ def test_finite_graph_file(capsys, tmp_path):
     assert blob["homogeneous"] is True
 
 
+def run_graph_file(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return run(capsys, ["finite", "--graph", f"file:{path}"])
+
+
+def test_finite_graph_file_missing(capsys, tmp_path):
+    code, out, err = run(capsys, ["finite", "--graph", f"file:{tmp_path / 'none.txt'}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read graph file: ")
+
+
+def test_finite_graph_file_edges_not_a_list(capsys, tmp_path):
+    code, _, err = run_graph_file(capsys, tmp_path, "g.json", '{"n": 3, "edges": 5}')
+    assert (code, err) == (2, "error: edges must be a list, got int\n")
+
+
+def test_finite_graph_file_bool_vertex_count(capsys, tmp_path):
+    code, _, err = run_graph_file(capsys, tmp_path, "g.json", '{"n": true, "edges": []}')
+    assert (code, err) == (2, "error: bad vertex count True\n")
+
+
+def test_finite_graph_file_bool_vertex(capsys, tmp_path):
+    # numpy would read [true, 2] as a mask, not as the edge {1, 2}
+    code, _, err = run_graph_file(capsys, tmp_path, "g.json", '{"n": 3, "edges": [[true, 2]]}')
+    assert (code, err) == (2, "error: bad edge [True, 2]\n")
+
+
+def test_finite_graph_file_over_the_vertex_budget(capsys, tmp_path):
+    # one past the largest label: 100,001 vertices, a 10 GB matrix
+    code, _, err = run_graph_file(capsys, tmp_path, "g.txt", "0 100000\n")
+    assert (code, err) == (2, "error: edge list names 100001 vertices, over the 512-vertex budget\n")
+    code, _, err = run_graph_file(capsys, tmp_path, "g.json", '{"n": 513, "edges": []}')
+    assert (code, err) == (2, "error: 513 vertices is over the 512-vertex budget\n")
+
+
 def test_finite_errors(capsys):
     assert run(capsys, ["finite", "--graph", "dodecahedron"])[0] == 2
     assert run(capsys, ["finite", "--graph", "cycle:x"])[0] == 2

@@ -23,7 +23,6 @@ from mhg_twist import (
     apply_twist_metric,
     check_antipodal_law,
     check_twistable,
-    complement_twist,
     complete_multipartite,
     crown_graph,
     cycle_graph,
@@ -391,17 +390,6 @@ def test_depth_bounded_search_matches_brute_force(name, build, depth):
         validate_homogeneity_witness(g, witness)
 
 
-def test_homogeneity_result_reports_automorphisms():
-    res = is_metrically_homogeneous(johnson_graph(6, 3))
-    assert res.homogeneous and (res.states, res.automorphisms) == (1244, 19)
-    assert json.loads(res.to_json())["automorphisms"] == 19
-    assert is_metrically_homogeneous(icosahedron()).automorphisms == 11
-    assert is_metrically_homogeneous(cycle_graph(9)).automorphisms == 8
-    # J(5,2) is vertex-transitive, but the greedy walk sticks on it
-    stuck = is_metrically_homogeneous(johnson_graph(5, 2))
-    assert not stuck.homogeneous and stuck.automorphisms == 0
-
-
 def relabel(g, seed):
     perm = np.random.default_rng(seed).permutation(g.n)
     return FiniteMetricGraph(g.adjacency[np.ix_(perm, perm)])
@@ -426,7 +414,6 @@ def test_relabelled_homogeneous_graph_keeps_verdict_and_states(build, full_walk,
     res = is_metrically_homogeneous(relabel(g, seed))
     assert base.homogeneous and res.homogeneous
     assert res.states <= full_walk and base.states <= full_walk
-    assert res.automorphisms == g.n - 1
 
 
 @pytest.mark.parametrize("seed", [7, 11])
@@ -570,8 +557,7 @@ def test_icosahedron_is_homogeneous():
     # from 0->0 (with its forced-extension cut) builds 653 states
     assert res.states == 256
     assert json.loads(res.to_json()) == {
-        "automorphisms": 11, "complete": True, "homogeneous": True,
-        "states": 256, "witness": None,
+        "complete": True, "homogeneous": True, "states": 256, "witness": None,
     }
 
 
@@ -664,7 +650,7 @@ def test_prefix_tree_proofs_are_pinned(build, states):
     g = build()
     res = is_metrically_homogeneous(g)
     assert res.homogeneous and res.complete
-    assert (res.states, res.automorphisms) == (states, g.n - 1)
+    assert res.states == states
 
 
 @pytest.mark.parametrize(
@@ -766,8 +752,6 @@ BAD_COUNTS = ["x", None, True, False, 2.5, 0, -5]
 def test_homogeneity_bounds_must_be_positive_ints(name, value):
     with pytest.raises(InvalidInputError, match=name):
         is_metrically_homogeneous(icosahedron(), **{name: value})
-    with pytest.raises(InvalidInputError, match=name):
-        complement_twist(cycle_graph(5), **{name: value})
 
 
 @pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
@@ -1086,29 +1070,40 @@ def test_antipodal_pairing_is_an_involution():
 # diameter-2 complement twisting
 
 
+# The 1<->2 swap sends distance 2 to 1, so its unit graph is the
+# complement; it is a twist of the graph when that complement is
+# connected, its path metric is the swapped one, and it is homogeneous.
+
+SWAP = Twist((2, 1))
+
+
+def swapped_graph(g):
+    rep = apply_twist_metric(g, SWAP)
+    h = FiniteMetricGraph(rep.matrix == 1)
+    assert rep.valid and (h.dist == rep.matrix).all()
+    assert is_metrically_homogeneous(h).homogeneous
+    return h
+
+
 def test_complement_twist_of_c5():
-    rep = complement_twist(cycle_graph(5))
-    assert rep.twistable
-    assert rep.connected and rep.valid_metric and rep.metric_matches
-    assert rep.homogeneity.homogeneous
-    assert is_isomorphic(rep.graph, cycle_graph(5))
+    assert is_isomorphic(swapped_graph(cycle_graph(5)), cycle_graph(5))
 
 
 def test_complement_twist_of_cocktail_party():
-    rep = complement_twist(complete_multipartite([2, 2, 2]))
-    assert not rep.twistable
-    assert not rep.connected
+    # K2,2,2's complement is a perfect matching
+    rep = apply_twist_metric(complete_multipartite([2, 2, 2]), SWAP)
+    assert not rep.unit_connected and not rep.valid
+    with pytest.raises(DisconnectedGraphError):
+        FiniteMetricGraph(rep.matrix == 1)
 
 
 def test_complement_twist_of_rook_3():
-    rep = complement_twist(rook_graph(3))
-    assert rep.twistable
-    assert is_isomorphic(rep.graph, rook_graph(3))  # self-complementary
+    assert is_isomorphic(swapped_graph(rook_graph(3)), rook_graph(3))  # self-complementary
 
 
 def test_complement_twist_requires_diameter_2():
-    with pytest.raises(InvalidInputError):
-        complement_twist(cycle_graph(7))
+    with pytest.raises(DimensionMismatchError):
+        apply_twist_metric(cycle_graph(7), SWAP)
 
 
 # ---------------------------------------------------------------------------
@@ -1190,8 +1185,6 @@ def test_odd_cycles_are_homogeneous_outside_the_generic_catalog(n):
 def test_rook_3_cover_is_johnson():
     rep = find_antipodal_cover(rook_graph(3))
     assert rep.winners == ("johnson-6-3",)
-    won = rep.graph_for(rook_graph(3), "johnson-6-3")
-    assert is_isomorphic(won, johnson_graph(6, 3))
     by_rule = {c.rule: c for c in rep.candidates}
     winner = by_rule["johnson-6-3"]
     assert winner.accepted()
@@ -1201,9 +1194,23 @@ def test_rook_3_cover_is_johnson():
 
 def test_c5_cover_is_the_icosahedron():
     rep = find_antipodal_cover(cycle_graph(5))
-    assert "icosahedron" in rep.winners
-    won = rep.graph_for(cycle_graph(5), "icosahedron")
-    assert is_isomorphic(won, icosahedron())
+    assert rep.winners == ("icosahedron",)
+
+
+def test_cover_winners_over_the_atlas():
+    # every connected graph on 2 to 7 vertices: only C5 has a winner
+    nx = pytest.importorskip("networkx")
+    won = {}
+    for i, base in enumerate(nx.graph_atlas_g()):
+        if 2 <= base.number_of_nodes() <= 7 and nx.is_connected(base):
+            winners = find_antipodal_cover(FiniteMetricGraph(nx.to_numpy_array(base) > 0)).winners
+            if winners:
+                won[i] = winners
+    assert len(won) == 1
+    (i, winners), = won.items()
+    assert winners == ("icosahedron",)
+    assert is_isomorphic(nx.to_numpy_array(nx.graph_atlas(i)) > 0, cycle_graph(5))
+    assert find_antipodal_cover(rook_graph(3)).winners == ("johnson-6-3",)
 
 
 def test_cover_report_json():
@@ -1214,57 +1221,47 @@ def test_cover_report_json():
     assert len(blob["candidates"]) == len(rep.candidates)
 
 
-# find_antipodal_cover(base).to_json() before the search let vertex 0's
-# neighborhood stand for every neighborhood of a vertex-transitive cover:
-# (base_n, winners, one row per candidate with rule, connected, n,
-# diameter, antipodal, law_verdict, locally_base, homogeneous,
-# homogeneity_complete)
+# find_antipodal_cover(base).to_json(): (base_n, winners, one row per
+# candidate with rule, n, diameter, antipodal, law_verdict, locally_base,
+# homogeneous).  Every value is the one the search gave when it compared
+# every neighborhood with the base and also graded a layered rule.
 COVER_REPORTS = {
     "C4": (lambda: cycle_graph(4), 4, (), [
-        ("layered-adjacency", True, 8, 2, False, "not-antipodal", None, None, None),
-        ("icosahedron", True, 12, 3, True, "holds", False, None, None),
-        ("johnson-6-3", True, 20, 3, True, "holds", False, None, None),
+        ("icosahedron", 12, 3, True, "holds", False, None),
+        ("johnson-6-3", 20, 3, True, "holds", False, None),
     ]),
     "C5": (lambda: cycle_graph(5), 5, ("icosahedron",), [
-        ("layered-adjacency", True, 10, 2, False, "not-antipodal", None, None, None),
-        ("icosahedron", True, 12, 3, True, "holds", True, True, True),
-        ("johnson-6-3", True, 20, 3, True, "holds", False, None, None),
+        ("icosahedron", 12, 3, True, "holds", True, True),
+        ("johnson-6-3", 20, 3, True, "holds", False, None),
     ]),
     "C6": (lambda: cycle_graph(6), 6, (), [
-        ("layered-adjacency", True, 12, 3, False, "not-antipodal", None, None, None),
-        ("icosahedron", True, 12, 3, True, "holds", False, None, None),
-        ("johnson-6-3", True, 20, 3, True, "holds", False, None, None),
+        ("icosahedron", 12, 3, True, "holds", False, None),
+        ("johnson-6-3", 20, 3, True, "holds", False, None),
     ]),
     "K3,3": (lambda: complete_multipartite([3, 3]), 6, (), [
-        ("layered-adjacency", True, 12, 2, False, "not-antipodal", None, None, None),
-        ("icosahedron", True, 12, 3, True, "holds", False, None, None),
-        ("johnson-6-3", True, 20, 3, True, "holds", False, None, None),
+        ("icosahedron", 12, 3, True, "holds", False, None),
+        ("johnson-6-3", 20, 3, True, "holds", False, None),
     ]),
     "K2,2,2": (lambda: complete_multipartite([2, 2, 2]), 6, (), [
-        ("layered-adjacency", True, 12, 2, False, "not-antipodal", None, None, None),
-        ("icosahedron", True, 12, 3, True, "holds", False, None, None),
-        ("johnson-6-3", True, 20, 3, True, "holds", False, None, None),
+        ("icosahedron", 12, 3, True, "holds", False, None),
+        ("johnson-6-3", 20, 3, True, "holds", False, None),
     ]),
     "rook3": (lambda: rook_graph(3), 9, ("johnson-6-3",), [
-        ("layered-adjacency", True, 18, 2, False, "not-antipodal", None, None, None),
-        ("icosahedron", True, 12, 3, True, "holds", False, None, None),
-        ("johnson-6-3", True, 20, 3, True, "holds", True, True, True),
+        ("icosahedron", 12, 3, True, "holds", False, None),
+        ("johnson-6-3", 20, 3, True, "holds", True, True),
     ]),
     "rook4": (lambda: rook_graph(4), 16, (), [
-        ("layered-adjacency", True, 32, 2, False, "not-antipodal", None, None, None),
-        ("icosahedron", True, 12, 3, True, "holds", False, None, None),
-        ("johnson-6-3", True, 20, 3, True, "holds", False, None, None),
+        ("icosahedron", 12, 3, True, "holds", False, None),
+        ("johnson-6-3", 20, 3, True, "holds", False, None),
     ]),
     "crown4": (lambda: crown_graph(4), 8, (), [
-        ("layered-adjacency", True, 16, 3, False, "not-antipodal", None, None, None),
-        ("icosahedron", True, 12, 3, True, "holds", False, None, None),
-        ("johnson-6-3", True, 20, 3, True, "holds", False, None, None),
+        ("icosahedron", 12, 3, True, "holds", False, None),
+        ("johnson-6-3", 20, 3, True, "holds", False, None),
     ]),
 }
 
 COVER_FIELDS = (
-    "rule", "connected", "n", "diameter", "antipodal", "law_verdict",
-    "locally_base", "homogeneous", "homogeneity_complete",
+    "rule", "n", "diameter", "antipodal", "law_verdict", "locally_base", "homogeneous",
 )
 
 
@@ -1281,8 +1278,8 @@ def test_cover_reports_are_pinned(name):
 
 def test_transitive_cover_checks_one_neighborhood(monkeypatch):
     # J(6,3) and the icosahedron are the only candidates over rook:3 and
-    # C5 whose vertex 0 has a neighborhood of the base's size; their root
-    # walks complete, so vertex 0's neighborhood is the only one compared
+    # C5 whose vertex 0 has a neighborhood of the base's size, and vertex
+    # 0's neighborhood is the only one compared
     calls = []
     real = finite_graphs.is_isomorphic
 
@@ -1297,26 +1294,25 @@ def test_transitive_cover_checks_one_neighborhood(monkeypatch):
         assert calls == [base.n]
 
 
-@pytest.mark.parametrize("max_states", [DEFAULT_STATE_BUDGET, 1])
-def test_cover_grade_checks_every_neighborhood_of_an_intransitive_cover(max_states):
+def test_locally_base_reads_vertex_0_alone():
     # In the paw, vertex 0's neighborhood is an edge but vertex 3's is a
-    # single vertex.  The search runs, or passes its budget, and the
-    # other neighborhoods decide: not locally the base, and no search
-    # result, as if the search had never run.
+    # single vertex.  locally_base reads vertex 0 only; a graph whose
+    # neighborhoods differ is not vertex-transitive, so not homogeneous,
+    # and cannot win.
     paw = from_edge_list("0 1\n0 2\n1 2\n2 3\n")
     edge = FiniteMetricGraph([[0, 1], [1, 0]])
-    assert finite_graphs._locally_base(paw, edge, [0])
-    assert finite_graphs._grade_cover(paw, edge, max_states) == (False, None)
+    assert finite_graphs._locally_base(paw, edge)
+    assert not is_metrically_homogeneous(paw).homogeneous
+    assert not finite_graphs._locally_base(from_edge_list("0 1\n1 2\n2 3\n"), edge)
 
 
 def test_cover_grade_budget_error_stands_when_every_neighborhood_passes():
     # the icosahedron is locally C5 and has no twins, so its search
     # walks from the root and passes a budget of one state
-    ico, pentagon = icosahedron(), cycle_graph(5)
-    local, hom = finite_graphs._grade_cover(ico, pentagon, DEFAULT_STATE_BUDGET)
-    assert local and hom.homogeneous and hom.automorphisms == 11
+    rep = find_antipodal_cover(cycle_graph(5))
+    assert rep.candidates[0].locally_base and rep.candidates[0].homogeneous
     with pytest.raises(BudgetError):
-        finite_graphs._grade_cover(ico, pentagon, 1)
+        find_antipodal_cover(cycle_graph(5), max_states=1)
 
 
 def test_rook_3_complement_double_cover_is_refuted():
