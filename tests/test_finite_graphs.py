@@ -1294,16 +1294,24 @@ def test_transitive_cover_checks_one_neighborhood(monkeypatch):
         assert calls == [base.n]
 
 
-def test_locally_base_reads_vertex_0_alone():
+@pytest.mark.parametrize("max_states", [DEFAULT_STATE_BUDGET, 1])
+def test_cover_grade_checks_every_neighborhood_of_an_intransitive_cover(max_states):
     # In the paw, vertex 0's neighborhood is an edge but vertex 3's is a
-    # single vertex.  locally_base reads vertex 0 only; a graph whose
-    # neighborhoods differ is not vertex-transitive, so not homogeneous,
-    # and cannot win.
+    # single vertex.  locally_base reads vertex 0 alone, so the paw passes
+    # it; the homogeneity search then speaks for the other neighborhoods:
+    # it refutes the paw, or passes its budget and raises, and never
+    # proves it homogeneous, so an intransitive candidate cannot win.
     paw = from_edge_list("0 1\n0 2\n1 2\n2 3\n")
     edge = FiniteMetricGraph([[0, 1], [1, 0]])
     assert finite_graphs._locally_base(paw, edge)
-    assert not is_metrically_homogeneous(paw).homogeneous
     assert not finite_graphs._locally_base(from_edge_list("0 1\n1 2\n2 3\n"), edge)
+    if max_states == 1:
+        with pytest.raises(BudgetError):
+            is_metrically_homogeneous(paw, cap=paw.n, max_states=max_states)
+    else:
+        res = is_metrically_homogeneous(paw, cap=paw.n, max_states=max_states)
+        assert not res.homogeneous and res.complete
+        validate_homogeneity_witness(paw, res.witness)
 
 
 def test_cover_grade_budget_error_stands_when_every_neighborhood_passes():
