@@ -29,8 +29,8 @@ from .parameter_space import (
     table1_rows,
 )
 from .permutations import NAMED_TWISTS, Twist, mu, named_twists
-from .triangle_catalog import _tables, rank_permutation
-from .twistability import OUTCOME_TWISTABLE, check_twistable
+from .triangle_catalog import _tables, grade_image
+from .twistability import OUTCOME_TWISTABLE, twist_verdict
 
 MAX_SEARCH_DELTA = 8
 
@@ -88,18 +88,13 @@ def find_twists(delta: int) -> dict[Twist, list[ParameterTuple]]:
         raise BudgetError(
             f"twist search supports delta in 3..{MAX_SEARCH_DELTA}, got {delta!r}"
         )
-    tabs = _tables(delta)
     candidates = enumerate_candidates(delta)
     members = np.stack([realized_set(p).to_bool_array() for p in candidates])
     families: dict[Twist, list[ParameterTuple]] = {}
     for images in _admissible_permutations(delta):
         twist = Twist(images)
-        ranks = rank_permutation(twist)
-        # a tuple passes when no member maps off the metric triples and
-        # every geodesic's preimage is a member
-        hits = ~(members & ~tabs.metric[ranks]).any(axis=1) & members[
-            :, np.argsort(ranks)[tabs.geodesic_ranks]
-        ].all(axis=1)
+        _, bad, missing = grade_image(members, twist)
+        hits = (bad < 0) & (missing == 0)
         if twist.is_identity():
             if not hits.all():
                 raise InvalidStateError("identity failed to fix some realized set")
@@ -211,30 +206,6 @@ class Table1Report:
             )
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "delta": self.delta,
-                "passed": self.passed,
-                "rows": [
-                    {"kind": kind, "params": params.as_dict(), "found": ok}
-                    for kind, params, ok in self.rows
-                ],
-                "unlisted": [
-                    {"kind": kind, "params": params.as_dict()}
-                    for kind, params in self.unlisted
-                ],
-                "unexpected": [
-                    {
-                        "sigma": twist.cycles(),
-                        "families": [p.as_dict() for p in fam],
-                    }
-                    for twist, fam in self.unexpected
-                ],
-            },
-            sort_keys=True,
-        )
-
 
 def verify_table1(
     delta: int,
@@ -283,27 +254,30 @@ def classification_rows(
     """
     if families is None:
         families = find_twists(delta)
+    candidates = enumerate_candidates(delta)
     rows = []
     seen: set[Twist] = set()
     for _, twist in named_twists(delta):
         if twist in seen:
             continue
         seen.add(twist)
-        for params in enumerate_candidates(delta):
-            verdict = check_twistable(params, twist)
-            rows.append(_csv_row(twist, params, verdict.outcome, verdict.witness_text()))
+        sigma = twist.cycles()
+        for params in candidates:
+            verdict = twist_verdict(params, twist)
+            rows.append(_csv_row(sigma, params, verdict.outcome, verdict.witness_text()))
     for twist, fam in sorted(families.items(), key=lambda kv: kv[0].images):
         if twist in seen:
             continue
+        sigma = twist.cycles()
         for params in fam:
-            rows.append(_csv_row(twist, params, OUTCOME_TWISTABLE, ""))
+            rows.append(_csv_row(sigma, params, OUTCOME_TWISTABLE, ""))
     return rows
 
 
-def _csv_row(twist: Twist, params: ParameterTuple, outcome: str, witness: str):
+def _csv_row(sigma: str, params: ParameterTuple, outcome: str, witness: str):
     k1, k2, c, cprime = params.csv_fields()[1:]
     return {
-        "sigma": twist.cycles(),
+        "sigma": sigma,
         "delta": str(params.delta),
         "K1": k1,
         "K2": k2,

@@ -26,18 +26,12 @@ from .errors import (
     InvalidInputError,
 )
 from .permutations import Twist
-from .triangle_catalog import (
-    TriangleSet,
-    _tables,
-    contains_geodesics,
-    image_set,
-    is_metric,
-)
+from .triangle_catalog import TriangleSet, _tables, grade_image
 
 #: ordered vertex triples marked per block by _triples_of_matrix
 _TRIPLE_CHUNK = 1 << 16
 
-#: vertices a Johnson graph or a loaded graph file may have
+#: vertices a built-in or loaded graph may have
 _MAX_VERTICES = 512
 
 
@@ -117,10 +111,17 @@ class FiniteMetricGraph:
         )
 
 
+def _check_vertices(n: int) -> None:
+    """Refuse a graph over the vertex budget before anything n x n exists."""
+    if n > _MAX_VERTICES:
+        raise BudgetError(f"{n} vertices is over the {_MAX_VERTICES}-vertex budget")
+
+
 def cycle_graph(n: int) -> FiniteMetricGraph:
     """The n-cycle, n >= 3."""
     if not isinstance(n, int) or n < 3:
         raise InvalidInputError(f"cycle needs an integer n >= 3, got {n!r}")
+    _check_vertices(n)
     adj = np.zeros((n, n), dtype=bool)
     idx = np.arange(n)
     adj[idx, (idx + 1) % n] = True
@@ -132,6 +133,7 @@ def crown_graph(m: int) -> FiniteMetricGraph:
     """Two sides of m vertices, i on one side joined to all j != i on the other."""
     if not isinstance(m, int) or m < 3:
         raise InvalidInputError(f"crown needs an integer m >= 3, got {m!r}")
+    _check_vertices(2 * m)
     adj = np.zeros((2 * m, 2 * m), dtype=bool)
     adj[:m, m:] = adj[m:, :m] = ~np.eye(m, dtype=bool)
     return FiniteMetricGraph(adj)
@@ -142,7 +144,7 @@ def complete_multipartite(sizes) -> FiniteMetricGraph:
     parts = list(sizes)
     if not parts or any(isinstance(s, bool) or not isinstance(s, int) or s < 1 for s in parts):
         raise InvalidInputError(f"part sizes must be positive integers: {sizes!r}")
-    n = sum(parts)
+    _check_vertices(sum(parts))
     label = np.repeat(np.arange(len(parts)), parts)
     adj = label[:, None] != label[None, :]
     return FiniteMetricGraph(adj)
@@ -152,6 +154,7 @@ def rook_graph(m: int) -> FiniteMetricGraph:
     """m x m grid, two cells adjacent when they share a row or column."""
     if not isinstance(m, int) or m < 2:
         raise InvalidInputError(f"rook grid needs an integer m >= 2, got {m!r}")
+    _check_vertices(m * m)
     row, col = np.divmod(np.arange(m * m), m)
     adj = (row[:, None] == row[None, :]) | (col[:, None] == col[None, :])
     np.fill_diagonal(adj, False)
@@ -184,8 +187,7 @@ def johnson_graph(m: int, t: int) -> FiniteMetricGraph:
     if any(isinstance(x, bool) or not isinstance(x, int) for x in (m, t)) or not 1 <= t < m:
         raise InvalidInputError(f"need integers 1 <= t < m, got t={t!r}, m={m!r}")
     n = math.comb(m, t)
-    if n > _MAX_VERTICES:
-        raise BudgetError(f"{n} subsets is over the {_MAX_VERTICES}-vertex budget")
+    _check_vertices(n)
     # member[s, x]: subset s holds x, subsets in lexicographic order
     member = np.zeros((n, m), dtype=np.int64)
     member[np.arange(n)[:, None], list(itertools.combinations(range(m), t))] = 1
@@ -434,8 +436,8 @@ def apply_twist_metric(g: FiniteMetricGraph, twist: Twist) -> TwistedMetricRepor
     m = lookup[g.dist]
     m.setflags(write=False)
 
-    realized = image_set(graph_triangle_set(g), twist)
-    metric_ok = is_metric(realized)[0]
+    image, bad, missing = grade_image(graph_triangle_set(g).to_bool_array(), twist)
+    metric_ok = bad < 0
     triangle_witness = None
     if not metric_ok:
         for i in range(g.n):
@@ -448,17 +450,15 @@ def apply_twist_metric(g: FiniteMetricGraph, twist: Twist) -> TwistedMetricRepor
 
     unit_connected = _distance_class_connected(g, twist.images.index(1) + 1)
 
-    geodesics_ok, missing = contains_geodesics(realized)
-
     return TwistedMetricReport(
         matrix=m,
-        valid=metric_ok and unit_connected and geodesics_ok,
+        valid=metric_ok and unit_connected and not missing,
         metric_ok=metric_ok,
         triangle_witness=triangle_witness,
         unit_connected=unit_connected,
-        geodesics_ok=geodesics_ok,
-        missing_geodesic=missing,
-        realized=realized,
+        geodesics_ok=not missing,
+        missing_geodesic=missing or None,
+        realized=TriangleSet.from_bool_array(g.diameter, image),
     )
 
 
@@ -675,8 +675,7 @@ def from_adjacency_json(text: str) -> FiniteMetricGraph:
         raise InvalidInputError(f"bad graph JSON: {text[:80]!r}") from exc
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidInputError(f"bad vertex count {n!r}")
-    if n > _MAX_VERTICES:
-        raise BudgetError(f"{n} vertices is over the {_MAX_VERTICES}-vertex budget")
+    _check_vertices(n)
     if not isinstance(edges, list):
         raise InvalidInputError(f"edges must be a list, got {type(edges).__name__}")
     adj = np.zeros((n, n), dtype=bool)

@@ -25,9 +25,8 @@ from .permutations import named_twists
 from .triangle_catalog import (
     TriangleSet,
     _tables,
-    contains_geodesics,
     fiber_distances,
-    image_set,
+    grade_image,
     is_metric,
 )
 
@@ -56,30 +55,25 @@ class ParameterTuple:
     c1: int
 
     def __post_init__(self):
+        # type(x) is int refuses bools, which Python counts as ints
         d = self.delta
-        if not isinstance(d, int) or d < 1:
+        if type(d) is not int or d < 1:
             raise InvalidInputError(f"delta must be a positive integer, got {d!r}")
         k1 = self.k1
         if k1 != INFINITY:
-            try:
-                as_int = int(k1)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InvalidInputError(
-                    f"K1 must be an integer or inf, got {k1!r}"
-                ) from exc
-            if k1 != as_int:
+            if not (type(k1) is int or isinstance(k1, np.integer)):
                 raise InvalidInputError(f"K1 must be an integer or inf, got {k1!r}")
-            object.__setattr__(self, "k1", as_int)
-            k1 = as_int
+            k1 = int(k1)  # a numpy integer is stored as a Python int
+            object.__setattr__(self, "k1", k1)
             if not 1 <= k1 <= d:
                 raise InvalidInputError(f"K1={k1} outside 1..{d}")
-        if not isinstance(self.k2, int) or not 0 <= self.k2 <= d:
+        if type(self.k2) is not int or not 0 <= self.k2 <= d:
             raise InvalidInputError(f"K2={self.k2!r} outside 0..{d}")
         for name, value, parity, low in (
             ("C0", self.c0, 0, 2 * d + 2),
             ("C1", self.c1, 1, 2 * d + 1),
         ):
-            if not isinstance(value, int) or value % 2 != parity:
+            if type(value) is not int or value % 2 != parity:
                 raise InvalidInputError(
                     f"{name}={value!r} must be an integer of parity {parity}"
                 )
@@ -235,21 +229,6 @@ class DerivationResult:
             )
         return ParameterTuple(self.delta, self.k1, self.k2, self.c0, self.c1)
 
-    def to_json(self) -> str:
-        k1 = "inf" if self.k1 == INFINITY else self.k1
-        return json.dumps(
-            {
-                "delta": self.delta,
-                "k1": k1,
-                "k2": self.k2,
-                "c0": self.c0,
-                "c1": self.c1,
-                "fiber_diameter": self.fiber_diameter,
-                "anomalies": list(self.anomalies),
-            },
-            sort_keys=True,
-        )
-
 
 def derive_parameters(tset: TriangleSet) -> DerivationResult:
     """Scan a triple set for its numerical parameters and anomalies.
@@ -358,10 +337,11 @@ def is_self_consistent(params: ParameterTuple) -> bool:
     d = params.delta
     if d < 3:
         return True
+    flags = tset.to_bool_array()
     for _, twist in named_twists(d):
-        image = image_set(tset, twist)
-        if is_metric(image)[0] and contains_geodesics(image)[0]:
-            if not _is_rule_set(image):
+        image, bad, missing = grade_image(flags, twist)
+        if bad < 0 and not missing:
+            if not _is_rule_set(TriangleSet.from_bool_array(d, image)):
                 return False
     return True
 

@@ -16,6 +16,7 @@ classification engine; the first three give the four named twists of
 from __future__ import annotations
 
 import json
+import operator
 import re
 from functools import lru_cache
 from math import gcd
@@ -43,8 +44,8 @@ class Twist:
 
     def __init__(self, images):
         try:
-            imgs = tuple(int(x) for x in images)
-        except (TypeError, ValueError) as exc:
+            imgs = tuple(map(_integer, images))
+        except TypeError as exc:
             raise InvalidInputError(f"images must be integers: {images!r}") from exc
         delta = len(imgs)
         if not 1 <= delta <= MAX_DELTA:
@@ -111,7 +112,7 @@ class Twist:
         try:
             data = json.loads(text)
             images = data["images"]
-            delta = data["delta"]
+            delta = _integer(data["delta"])
         except (json.JSONDecodeError, TypeError, KeyError) as exc:
             raise InvalidInputError(f"bad twist JSON: {text!r}") from exc
         t = cls(images)
@@ -129,6 +130,13 @@ class Twist:
 
     def __repr__(self):
         return f"Twist({self.cycles()!r}, delta={self.delta})"
+
+
+def _integer(value) -> int:
+    """A Python or numpy integer as an int; floats, strings and bools raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool")
+    return operator.index(value)
 
 
 def identity(delta: int) -> Twist:

@@ -5,6 +5,8 @@ pairwise realize those distances.  The triple is *metric* when i + j >= k.
 A set of triples is stored as one read-only bool flag per lexicographic
 rank of the triple, so images under a twist and membership tests are
 cheap and the classifier can batch whole families into numpy matrices.
+``grade_image`` is the one code that maps sets through a twist and grades
+the image: is it still metric, and does it keep every geodesic (1, k, k+1)?
 """
 from __future__ import annotations
 
@@ -56,7 +58,6 @@ def _tables(delta: int) -> SimpleNamespace:
         metric=metric,
         even=even,
         rank3d=rank3d,
-        nonmetric_ranks=np.flatnonzero(~metric),
         geodesic_ranks=geodesic,
         even_small_metric_ranks=np.flatnonzero(
             metric & even & (perim <= 2 * delta)
@@ -182,34 +183,58 @@ def rank_permutation(twist: Twist) -> np.ndarray:
     return _rank_tables[twist.images]
 
 
+def grade_image(flags: np.ndarray, twist: Twist):
+    """(image, bad, missing) of one set's flags, or per row of a matrix of sets.
+
+    bad is the rank of the first non-metric image triple, -1 if none, and
+    missing the least k whose (1, k, k+1) the image lacks, 0 if none.
+    """
+    image = np.zeros_like(flags)
+    image[..., rank_permutation(twist)] = flags
+    return (image, *_grades(image, twist.delta))
+
+
+def _grades(flags: np.ndarray, delta: int):
+    tabs = _tables(delta)
+    # geodesic k sits at column k - 1, so -1 (none missing) becomes 0
+    return _first(flags & ~tabs.metric), _first(~flags[..., tabs.geodesic_ranks]) + 1
+
+
+def _first(mask: np.ndarray):
+    """Index of the first True on the last axis, -1 where there is none."""
+    if not mask.shape[-1]:  # at delta 1 there are no geodesics
+        return -1 if mask.ndim == 1 else np.full(len(mask), -1)
+    at = mask.argmax(axis=-1)
+    if mask.ndim == 1:
+        # one row: argmax plus one index check is the cheapest reduction
+        return int(at) if mask[at] else -1
+    return np.where(mask.any(axis=-1), at, -1)
+
+
 def image_set(tset: TriangleSet, twist: Twist) -> TriangleSet:
     """Pointwise image of every member triple under the twist."""
     if tset.delta != twist.delta:
         raise DimensionMismatchError(
             f"set delta {tset.delta} != twist delta {twist.delta}"
         )
-    src = tset.to_bool_array()
-    out = np.zeros_like(src)
-    out[rank_permutation(twist)] = src
-    return TriangleSet.from_bool_array(tset.delta, out)
+    return TriangleSet.from_bool_array(
+        tset.delta, grade_image(tset.to_bool_array(), twist)[0]
+    )
 
 
 def is_metric(tset: TriangleSet) -> tuple[bool, tuple | None]:
     """Check all members are metric; witness is the first failure in rank order."""
-    flags = tset.to_bool_array()
-    bad = np.flatnonzero(flags & ~_tables(tset.delta).metric)
-    if bad.size:
-        return False, all_triples(tset.delta)[int(bad[0])]
+    bad = _grades(tset.to_bool_array(), tset.delta)[0]
+    if bad >= 0:
+        return False, all_triples(tset.delta)[bad]
     return True, None
 
 
 def contains_geodesics(tset: TriangleSet) -> tuple[bool, int | None]:
     """Check every (1, k, k+1) with k < delta is present; witness is least missing k."""
-    flags = tset.to_bool_array()
-    present = flags[_tables(tset.delta).geodesic_ranks]
-    missing = np.flatnonzero(~present)
-    if missing.size:
-        return False, int(missing[0]) + 1
+    missing = _grades(tset.to_bool_array(), tset.delta)[1]
+    if missing:
+        return False, missing
     return True, None
 
 

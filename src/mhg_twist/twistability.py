@@ -4,7 +4,8 @@ A self-consistent tuple is twistable by a permutation sigma when the
 pointwise image of its realized triple set is again the realized set of a
 catalog tuple.  Concretely the image must stay metric and keep every
 geodesic type (1, k, k+1); when both hold, reading the parameters off the
-image gives the twisted tuple.
+image gives the twisted tuple.  ``twist_verdict`` builds every verdict,
+for ``check_twistable`` and for the classifier's CSV rows.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .parameter_space import (
     realized_set,
 )
 from .permutations import Twist
-from .triangle_catalog import contains_geodesics, image_set, is_metric
+from .triangle_catalog import TriangleSet, all_triples, grade_image
 
 OUTCOME_TWISTABLE = "TWISTABLE"
 OUTCOME_METRIC_VIOLATION = "METRIC_VIOLATION"
@@ -101,29 +102,25 @@ def check_twistable(params: ParameterTuple, twist: Twist) -> TwistVerdict:
         )
     if not is_self_consistent(params):
         raise InvalidInputError(f"tuple {params} is not self-consistent")
-    image = image_set(realized_set(params), twist)
-    ok, bad_triple = is_metric(image)
-    if not ok:
-        return TwistVerdict(OUTCOME_METRIC_VIOLATION, witness_triple=bad_triple)
-    ok, missing_k = contains_geodesics(image)
-    if not ok:
-        return TwistVerdict(OUTCOME_MISSING_GEODESIC, witness_distance=missing_k)
+    return twist_verdict(params, twist)
+
+
+def twist_verdict(params: ParameterTuple, twist: Twist) -> TwistVerdict:
+    """The verdict for a self-consistent tuple and a twist of its diameter."""
+    image, bad, missing = grade_image(realized_set(params).to_bool_array(), twist)
+    if bad >= 0:
+        return TwistVerdict(
+            OUTCOME_METRIC_VIOLATION, witness_triple=all_triples(twist.delta)[bad]
+        )
+    if missing:
+        return TwistVerdict(OUTCOME_MISSING_GEODESIC, witness_distance=missing)
     # a twistable image is itself a catalog tuple; an anomalous derivation
     # makes to_params raise InvalidStateError
-    image_params = derive_parameters(image).to_params()
+    image_params = derive_parameters(
+        TriangleSet.from_bool_array(twist.delta, image)
+    ).to_params()
     if not is_self_consistent(image_params):
         raise InvalidStateError(
             f"image of {params} under {twist.cycles()} is not self-consistent: {image_params}"
         )
     return TwistVerdict(OUTCOME_TWISTABLE, image_params=image_params)
-
-
-def twist_image_parameters(params: ParameterTuple, twist: Twist) -> ParameterTuple:
-    """Parameters of the twisted catalog; defined only for twistable pairs."""
-    verdict = check_twistable(params, twist)
-    if not verdict.twistable:
-        raise InvalidStateError(
-            f"{params} is not twistable by {twist.cycles()}: "
-            f"{verdict.outcome} at {verdict.witness_text()}"
-        )
-    return verdict.image_params

@@ -125,6 +125,25 @@ def has_all_geodesics(triples, delta):
     return True
 
 
+def twist_verdict(triples, delta, images):
+    """Outcome and witness of one catalog twist check, from plain loops.
+
+    triples is a realized set, as ``realized`` builds it.  The witness
+    of a METRIC_VIOLATION is the image's least non-metric triple in
+    lexicographic order, that of a MISSING_GEODESIC the least k whose
+    (1, k, k+1) the image lacks, and that of TWISTABLE the parameters
+    derived from the image.
+    """
+    img = image(triples, images)
+    bad = [t for t in img if not is_metric_triple(t)]
+    if bad:
+        return "METRIC_VIOLATION", min(bad)
+    for k in range(1, delta):
+        if (1, k, k + 1) not in img:
+            return "MISSING_GEODESIC", k
+    return "TWISTABLE", derive(img, delta)
+
+
 def gamma_diameter(triples, i):
     tset = set(tuple(sorted(t)) for t in triples)
     best = 0

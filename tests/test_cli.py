@@ -18,6 +18,8 @@ TWISTS_5 = "rho = (1 2 4 3 5)\nrho-inv = (1 5 3 4 2)\ntau0 = (1 4)\ntau1 = (1 5)
 TWISTS_3 = "rho = (1 2 3)\nrho-inv = (1 3 2)\ntau0 = (1 2)\ntau1 = (1 3)\n"
 #: sha256 of the classify --delta-min 3 --delta-max 8 --verify-table1 CSV
 CLASSIFY_3_8_SHA256 = "16ab062c9b3c2996d680d383891ccf1fe2bc813a47f55e22ff0e887c0baaae50"
+#: sha256 of the same command's whole stdout without --out, 73 lines
+CLASSIFY_3_8_STDOUT_SHA256 = "79a828a96b21f74b46a5ddff4b1d43949dea868f8598417a0bf8119f6f20f372"
 
 
 def run(capsys, argv):
@@ -348,6 +350,21 @@ def test_finite_graph_file_over_the_vertex_budget(capsys, tmp_path):
     assert (code, err) == (2, "error: 513 vertices is over the 512-vertex budget\n")
 
 
+@pytest.mark.parametrize("spec, n", [
+    ("cycle:513", 513),
+    ("crown:257", 514),
+    ("rook:23", 529),
+    ("rook:2000", 4_000_000),  # a 14.6 TiB distance matrix
+    ("multipartite:256,257", 513),
+    ("multipartite:3000000,3000000", 6_000_000),
+])
+def test_finite_built_in_graph_over_the_vertex_budget(capsys, spec, n):
+    # refused before any n x n array exists
+    assert run(capsys, ["finite", "--graph", spec]) == (
+        2, "", f"error: {n} vertices is over the 512-vertex budget\n"
+    )
+
+
 def test_finite_errors(capsys):
     assert run(capsys, ["finite", "--graph", "dodecahedron"])[0] == 2
     assert run(capsys, ["finite", "--graph", "cycle:x"])[0] == 2
@@ -446,8 +463,13 @@ def test_classify_csv_matches_the_golden_hash(capsys, tmp_path):
         "--verify-table1", "--out", str(path),
     ])
     assert code == 0
-    assert f"wrote 4296 rows to {path}" in out.splitlines()
+    wrote = f"wrote 4296 rows to {path}\n"
+    assert wrote in out
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CLASSIFY_3_8_SHA256
+    # --out adds only the wrote line to stdout
+    stdout = out.replace(wrote, "")
+    assert len(stdout.splitlines()) == 73
+    assert hashlib.sha256(stdout.encode()).hexdigest() == CLASSIFY_3_8_STDOUT_SHA256
 
 
 def test_classify_rejects_the_retired_jobs_flag(capsys):

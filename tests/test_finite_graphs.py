@@ -898,9 +898,10 @@ def test_cycle_reports_match_plain_loop_oracle(n):
     [icosahedron, petersen, law_breaker, lambda: crown_graph(4),
      lambda: crown_graph(5), lambda: rook_graph(3), lambda: rook_graph(4),
      lambda: johnson_graph(5, 2), lambda: johnson_graph(6, 3),
-     lambda: complete_multipartite([2, 2, 2]), lambda: complete_multipartite([3, 3])],
+     lambda: complete_multipartite([2, 2, 2]), lambda: complete_multipartite([3, 3]),
+     lambda: complete_multipartite([1, 1, 1, 1])],
     ids=["ico", "petersen", "law-breaker", "crown4", "crown5", "rook3", "rook4",
-         "J52", "J63", "K222", "K33"],
+         "J52", "J63", "K222", "K33", "K4"],
 )
 def test_named_graph_reports_match_plain_loop_oracle(build):
     g = build()

@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -95,6 +96,38 @@ def test_constructor_validates_ranges():
         ParameterTuple(3, 0, 2, 10, 11)
     with pytest.raises(InvalidInputError):
         ParameterTuple(3, 1, 4, 10, 11)  # k2 > delta
+
+
+@pytest.mark.parametrize("fields", [
+    (True, 1, 1, 4, 3),  # delta=True used to pass as a diameter of 1
+    (3, True, 2, 10, 11),
+    (3, 1.0, 2, 10, 11),
+    (3, 1.5, 2, 10, 11),
+    (3, 1, True, 10, 11),
+    (3, 1, 2.0, 10, 11),
+    (3, 1, 2, 10.0, 11),
+    (3, "1", 2, 10, 11),
+])
+def test_constructor_refuses_fields_that_are_not_integers(fields):
+    with pytest.raises(InvalidInputError):
+        ParameterTuple(*fields)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("delta", "true"), ("k1", "true"), ("k1", "1.0"), ("k2", "true"), ("c0", "10.0"),
+])
+def test_from_json_refuses_values_that_are_not_integers(field, value):
+    data = {"delta": "3", "k1": "1", "k2": "2", "c0": "10", "c1": "11", field: value}
+    text = "{" + ", ".join(f'"{k}": {v}' for k, v in data.items()) + "}"
+    with pytest.raises(InvalidInputError):
+        ParameterTuple.from_json(text)
+
+
+def test_k1_takes_a_numpy_integer_or_inf():
+    p = ParameterTuple(3, np.int64(1), 2, 10, 11)
+    assert p == ParameterTuple(3, 1, 2, 10, 11)
+    assert type(p.k1) is int
+    assert ParameterTuple(4, INFINITY, 0, 10, 9).bipartite
 
 
 def test_bipartite_pairing_of_k1_k2():

@@ -1,5 +1,6 @@
 """Distance relabelings: formulas, cycle notation, group structure."""
 
+import numpy as np
 import pytest
 
 import oracles
@@ -150,6 +151,30 @@ def test_twist_validates_images():
         Twist((0, 1, 2))
     with pytest.raises(InvalidDiameterError):
         Twist(())
+
+
+@pytest.mark.parametrize("images", [[1.9, 2], [2.0, 1], [True, 2], [2, False], ["2", "1"], 12])
+def test_twist_refuses_images_that_are_not_integers(images):
+    # int() used to turn 1.9 into 1 and True into 1
+    with pytest.raises(InvalidInputError):
+        Twist(images)
+
+
+@pytest.mark.parametrize("text", [
+    '{"delta": 2, "images": [2.7, 1]}',
+    '{"delta": 2, "images": [true, 2]}',
+    '{"delta": 2.0, "images": [2, 1]}',
+    '{"delta": true, "images": [1]}',
+])
+def test_twist_json_refuses_values_that_are_not_integers(text):
+    with pytest.raises(InvalidInputError):
+        Twist.from_json(text)
+
+
+def test_twist_takes_numpy_integers():
+    t = Twist(np.array([2, 1, 3]))
+    assert t == Twist((2, 1, 3))
+    assert all(type(x) is int for x in t.images)
 
 
 def test_twist_apply_and_triple():

@@ -6,6 +6,7 @@ import pickle
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import oracles
@@ -27,7 +28,12 @@ from mhg_twist import (
     tau,
 )
 from mhg_twist import triangle_catalog
-from mhg_twist.triangle_catalog import RANK_CACHE_BYTES, _tables, rank_permutation
+from mhg_twist.triangle_catalog import (
+    RANK_CACHE_BYTES,
+    _tables,
+    grade_image,
+    rank_permutation,
+)
 
 
 @pytest.mark.parametrize("delta", range(1, 13))
@@ -213,6 +219,29 @@ def test_scans_match_plain_loops_on_random_sets(seed):
         assert got == want
         assert all(type(k) is int for k in got)
         assert gamma_diameter(ts, i) == oracles.gamma_diameter(subset, i)
+
+
+@pytest.mark.parametrize("delta", [1, 2, 3, 5, 8])
+def test_grade_image_of_a_matrix_is_its_rows_graded_one_by_one(delta):
+    rng = random.Random(delta)
+    triples = all_triples(delta)
+    sets = [[t for t in triples if rng.random() < share] for share in (0, 0.3, 0.8, 1)]
+    matrix = np.stack([TriangleSet.from_triples(delta, s).to_bool_array() for s in sets])
+    for images in list(itertools.permutations(range(1, delta + 1)))[:24]:
+        twist = Twist(images)
+        image, bad, missing = grade_image(matrix, twist)
+        for row, subset in enumerate(sets):
+            one = grade_image(matrix[row], twist)
+            assert type(one[1]) is int and type(one[2]) is int
+            assert (one[0].tolist(), one[1], one[2]) == (
+                image[row].tolist(), bad[row], missing[row]
+            )
+            img = oracles.image(subset, images)
+            assert set(TriangleSet.from_bool_array(delta, one[0]).members()) == img
+            nonmetric = [t for t in img if not oracles.is_metric_triple(t)]
+            assert one[1] == (triples.index(min(nonmetric)) if nonmetric else -1)
+            gaps = [k for k in range(1, delta) if (1, k, k + 1) not in img]
+            assert one[2] == (gaps[0] if gaps else 0)
 
 
 def test_fiber_scans_validate_the_letter():

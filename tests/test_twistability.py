@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import oracles
 from mhg_twist import (
     INFINITY,
     OUTCOME_METRIC_VIOLATION,
@@ -13,6 +14,7 @@ from mhg_twist import (
     InvalidStateError,
     ParameterTuple,
     check_twistable,
+    classification_rows,
     contains_geodesics,
     enumerate_candidates,
     identity,
@@ -20,10 +22,10 @@ from mhg_twist import (
     is_metric,
     is_self_consistent,
     named_twists,
+    parse_cycles,
     realized_set,
     rho,
     tau,
-    twist_image_parameters,
 )
 
 
@@ -124,16 +126,49 @@ def test_check_twistable_raises_on_a_broken_image_invariant(monkeypatch, bad_ima
         check_twistable(p, tau(3, 1))
 
 
-def test_twist_image_parameters_matches_the_verdict():
-    for delta in range(3, 9):
-        for p in enumerate_candidates(delta)[::5]:
-            for name, t in named_twists(delta):
-                v = check_twistable(p, t)
-                if v.outcome == OUTCOME_TWISTABLE:
-                    assert twist_image_parameters(p, t) == v.image_params
-                else:
-                    with pytest.raises(InvalidStateError):
-                        twist_image_parameters(p, t)
+def _oracle_params(p):
+    return (None if p.bipartite else p.k1, p.k2, p.c0, p.c1)
+
+
+@pytest.mark.parametrize("delta", range(3, 11))
+def test_verdicts_match_plain_loop_oracle(delta):
+    # every named twist and the identity against every candidate, through
+    # both check_twistable and the CSV rows
+    candidates = enumerate_candidates(delta)
+    named = list(dict.fromkeys(t for _, t in named_twists(delta)))
+    want = {}
+    for p in candidates:
+        triples = oracles.realized(delta, *_oracle_params(p))
+        for t in named + [identity(delta)]:
+            outcome, witness = oracles.twist_verdict(triples, delta, t.images)
+            want[t, p] = outcome, witness
+            v = check_twistable(p, t)
+            assert v.outcome == outcome, (p, t)
+            if outcome == OUTCOME_METRIC_VIOLATION:
+                assert v.witness_triple == witness
+            elif outcome == OUTCOME_MISSING_GEODESIC:
+                assert v.witness_distance == witness
+            else:
+                assert _oracle_params(v.image_params) == witness
+    rows = classification_rows(delta, families={})
+    assert len(rows) == len(named) * len(candidates)
+    seen = set()
+    for row in rows:
+        t = parse_cycles(row["sigma"], delta)
+        k1 = INFINITY if row["K1"] == "inf" else int(row["K1"])
+        p = ParameterTuple.from_c_values(
+            delta, k1, int(row["K2"]), int(row["C"]), int(row["Cprime"])
+        )
+        seen.add((t, p))
+        outcome, witness = want[t, p]
+        assert row["verdict"] == outcome
+        if outcome == OUTCOME_METRIC_VIOLATION:
+            assert row["witness"] == "(" + ",".join(map(str, witness)) + ")"
+        elif outcome == OUTCOME_MISSING_GEODESIC:
+            assert row["witness"] == f"k={witness}"
+        else:
+            assert row["witness"] == ""
+    assert seen == {(t, p) for t in named for p in candidates}
 
 
 @pytest.mark.parametrize("delta", range(3, 9))
