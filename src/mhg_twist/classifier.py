@@ -254,30 +254,27 @@ def classification_rows(
     """
     if families is None:
         families = find_twists(delta)
-    candidates = enumerate_candidates(delta)
     rows = []
     seen: set[Twist] = set()
     for _, twist in named_twists(delta):
         if twist in seen:
             continue
         seen.add(twist)
-        sigma = twist.cycles()
-        for params in candidates:
+        for params in enumerate_candidates(delta):
             verdict = twist_verdict(params, twist)
-            rows.append(_csv_row(sigma, params, verdict.outcome, verdict.witness_text()))
+            rows.append(_csv_row(twist, params, verdict.outcome, verdict.witness_text()))
     for twist, fam in sorted(families.items(), key=lambda kv: kv[0].images):
         if twist in seen:
             continue
-        sigma = twist.cycles()
         for params in fam:
-            rows.append(_csv_row(sigma, params, OUTCOME_TWISTABLE, ""))
+            rows.append(_csv_row(twist, params, OUTCOME_TWISTABLE, ""))
     return rows
 
 
-def _csv_row(sigma: str, params: ParameterTuple, outcome: str, witness: str):
+def _csv_row(twist: Twist, params: ParameterTuple, outcome: str, witness: str):
     k1, k2, c, cprime = params.csv_fields()[1:]
     return {
-        "sigma": sigma,
+        "sigma": twist.cycles(),
         "delta": str(params.delta),
         "K1": k1,
         "K2": k2,

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError, InvalidInputError, InvalidStateError
-from .permutations import named_twists
+from .permutations import _integer, named_twists
 from .triangle_catalog import (
     TriangleSet,
     _tables,
@@ -55,28 +55,28 @@ class ParameterTuple:
     c1: int
 
     def __post_init__(self):
-        # type(x) is int refuses bools, which Python counts as ints
-        d = self.delta
-        if type(d) is not int or d < 1:
+        # every field but an infinite K1 is stored as a Python int
+        for name in ("delta", "k1", "k2", "c0", "c1"):
+            value = getattr(self, name)
+            if type(value) is int or name == "k1" and value == INFINITY:
+                continue
+            try:
+                object.__setattr__(self, name, _integer(value))
+            except TypeError as exc:
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}") from exc
+        d, k1 = self.delta, self.k1
+        if d < 1:
             raise InvalidInputError(f"delta must be a positive integer, got {d!r}")
-        k1 = self.k1
-        if k1 != INFINITY:
-            if not (type(k1) is int or isinstance(k1, np.integer)):
-                raise InvalidInputError(f"K1 must be an integer or inf, got {k1!r}")
-            k1 = int(k1)  # a numpy integer is stored as a Python int
-            object.__setattr__(self, "k1", k1)
-            if not 1 <= k1 <= d:
-                raise InvalidInputError(f"K1={k1} outside 1..{d}")
-        if type(self.k2) is not int or not 0 <= self.k2 <= d:
+        if k1 != INFINITY and not 1 <= k1 <= d:
+            raise InvalidInputError(f"K1={k1} outside 1..{d}")
+        if not 0 <= self.k2 <= d:
             raise InvalidInputError(f"K2={self.k2!r} outside 0..{d}")
         for name, value, parity, low in (
             ("C0", self.c0, 0, 2 * d + 2),
             ("C1", self.c1, 1, 2 * d + 1),
         ):
-            if type(value) is not int or value % 2 != parity:
-                raise InvalidInputError(
-                    f"{name}={value!r} must be an integer of parity {parity}"
-                )
+            if value % 2 != parity:
+                raise InvalidInputError(f"{name}={value!r} must have parity {parity}")
             if not low <= value <= 3 * d + 2:
                 raise InvalidInputError(
                     f"{name}={value} outside {low}..{3 * d + 2} for delta={d}"

@@ -189,15 +189,23 @@ def grade_image(flags: np.ndarray, twist: Twist):
     bad is the rank of the first non-metric image triple, -1 if none, and
     missing the least k whose (1, k, k+1) the image lacks, 0 if none.
     """
+    image = _map(flags, twist)
+    return image, _first_bad(image, twist.delta), _least_missing(image, twist.delta)
+
+
+def _map(flags: np.ndarray, twist: Twist) -> np.ndarray:
     image = np.zeros_like(flags)
     image[..., rank_permutation(twist)] = flags
-    return (image, *_grades(image, twist.delta))
+    return image
 
 
-def _grades(flags: np.ndarray, delta: int):
-    tabs = _tables(delta)
+def _first_bad(flags: np.ndarray, delta: int):
+    return _first(flags & ~_tables(delta).metric)
+
+
+def _least_missing(flags: np.ndarray, delta: int):
     # geodesic k sits at column k - 1, so -1 (none missing) becomes 0
-    return _first(flags & ~tabs.metric), _first(~flags[..., tabs.geodesic_ranks]) + 1
+    return _first(~flags[..., _tables(delta).geodesic_ranks]) + 1
 
 
 def _first(mask: np.ndarray):
@@ -217,14 +225,12 @@ def image_set(tset: TriangleSet, twist: Twist) -> TriangleSet:
         raise DimensionMismatchError(
             f"set delta {tset.delta} != twist delta {twist.delta}"
         )
-    return TriangleSet.from_bool_array(
-        tset.delta, grade_image(tset.to_bool_array(), twist)[0]
-    )
+    return TriangleSet.from_bool_array(tset.delta, _map(tset.to_bool_array(), twist))
 
 
 def is_metric(tset: TriangleSet) -> tuple[bool, tuple | None]:
     """Check all members are metric; witness is the first failure in rank order."""
-    bad = _grades(tset.to_bool_array(), tset.delta)[0]
+    bad = _first_bad(tset.to_bool_array(), tset.delta)
     if bad >= 0:
         return False, all_triples(tset.delta)[bad]
     return True, None
@@ -232,7 +238,7 @@ def is_metric(tset: TriangleSet) -> tuple[bool, tuple | None]:
 
 def contains_geodesics(tset: TriangleSet) -> tuple[bool, int | None]:
     """Check every (1, k, k+1) with k < delta is present; witness is least missing k."""
-    missing = _grades(tset.to_bool_array(), tset.delta)[1]
+    missing = _least_missing(tset.to_bool_array(), tset.delta)
     if missing:
         return False, missing
     return True, None

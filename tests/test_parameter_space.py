@@ -123,11 +123,11 @@ def test_from_json_refuses_values_that_are_not_integers(field, value):
         ParameterTuple.from_json(text)
 
 
-def test_k1_takes_a_numpy_integer_or_inf():
-    p = ParameterTuple(3, np.int64(1), 2, 10, 11)
+def test_fields_take_numpy_integers_and_k1_inf():
+    p = ParameterTuple(*map(np.int64, (3, 1, 2, 10, 11)))
     assert p == ParameterTuple(3, 1, 2, 10, 11)
-    assert type(p.k1) is int
-    assert ParameterTuple(4, INFINITY, 0, 10, 9).bipartite
+    assert all(type(x) is int for x in (p.delta, p.k1, p.k2, p.c0, p.c1))
+    assert ParameterTuple(4, INFINITY, 0, 10, np.int8(9)).bipartite
 
 
 def test_bipartite_pairing_of_k1_k2():
